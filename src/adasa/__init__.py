@@ -36,7 +36,6 @@ from .problems import (
     project_capacity,
     project_simplex,
     saa_reference,
-    utility_oracle,
 )
 from .sa_core import (
     SaddlePoint,

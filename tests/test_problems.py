@@ -196,6 +196,60 @@ class TestUtilityProblem:
             assert f_val - sigma <= f_hat <= f_val + problem.epsilon * cap + sigma
 
 
+def _direct_saa_value_grad(problem, z, x):
+    """Reference SAA objective built from w = x + Z directly, one row per draw."""
+    from adasa.problems import _gaussian_max_affine
+
+    w = x[None, :] + z
+    sig = np.linalg.norm(w, axis=1)
+    psi, d_mu, d_sig = _gaussian_max_affine(w @ problem.coeff_base, sig, *problem._envelope)
+    value = float(psi.mean() + 0.5 * problem.eta * (sig**2).mean())
+    grad = (
+        problem.coeff_base * d_mu.mean()
+        + (w * (d_sig / np.maximum(sig, 1e-12))[:, None]).mean(axis=0)
+        + problem.eta * (x + z.mean(axis=0))
+    )
+    return value, grad
+
+
+class TestUtilitySaa:
+    n, samples, seed = 8, 5_000, 31
+
+    def _saa_and_draws(self):
+        from adasa.smoothing import sample_ball_batch
+
+        problem = UtilityProblem.from_seed(self.n, eta=0.5, epsilon=0.5, seed=13)
+        saa = problem.build_saa(self.samples, np.random.default_rng(self.seed))
+        z = sample_ball_batch(
+            self.samples, self.n, problem.epsilon, np.random.default_rng(self.seed)
+        )
+        return problem, saa, z
+
+    def test_matches_direct_formula(self):
+        problem, saa, z = self._saa_and_draws()
+        vertex = np.zeros(self.n)
+        vertex[0] = 1.0
+        rng = np.random.default_rng(8)
+        points = [saa.x0, vertex] + [rng.dirichlet(np.ones(self.n)) for _ in range(5)]
+        for x in points:
+            value, grad = saa.value_grad(x)
+            ref_value, ref_grad = _direct_saa_value_grad(problem, z, x)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+
+    def test_gradient_matches_central_differences(self):
+        _, saa, _ = self._saa_and_draws()
+        x = np.random.default_rng(9).dirichlet(np.ones(self.n))
+        _, grad = saa.value_grad(x)
+        h = 1e-6
+        fd = np.empty(self.n)
+        for i in range(self.n):
+            e = np.zeros(self.n)
+            e[i] = h
+            fd[i] = (saa.value_grad(x + e)[0] - saa.value_grad(x - e)[0]) / (2 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-7
+
+
 def _mc_smoothed_value(problem, x, m, rng):
     from adasa.smoothing import sample_ball_batch
 
@@ -383,8 +437,9 @@ class TestNetworkProblem:
 class _QuadraticToy:
     """Strongly convex quadratic with a known minimizer, for the solver oracle."""
 
-    def __init__(self, target):
+    def __init__(self, target, initial_step=1.0):
         self.target = np.asarray(target, dtype=float)
+        self.initial_step = initial_step
 
     def build_saa(self, sample_size, rng):
         b = self.target
@@ -397,7 +452,7 @@ class _QuadraticToy:
             value_grad=value_grad,
             proj=lambda v: v,
             x0=np.zeros_like(b),
-            initial_step=1.0,
+            initial_step=self.initial_step,
         )
 
 
@@ -407,6 +462,51 @@ class TestSaaReference:
         ref = saa_reference(toy, sample_size=1000, seed=0)
         assert np.allclose(ref.point, toy.target, atol=1e-6)
         assert ref.converged
+
+    def test_step_above_two_over_lipschitz_still_converges(self):
+        # gradient Lipschitz constant 1: a step of 3 diverges until the
+        # divergence guard halves it
+        toy = _QuadraticToy([0.3, -1.2, 2.5], initial_step=3.0)
+        ref = saa_reference(toy, sample_size=1000, seed=0)
+        assert ref.converged
+        assert np.allclose(ref.point, toy.target, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=14),
+            NetworkProblem.from_seed(5, "c3", seed=0),
+        ],
+        ids=["utility", "network"],
+    )
+    def test_certificate_is_recomputable(self, problem):
+        ref = saa_reference(problem, sample_size=2000, seed=21)
+        assert ref.converged
+        p = ref.point
+        assert np.all(p >= 0.0)
+        if isinstance(problem, UtilityProblem):
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert np.all(problem.link_matrix @ p <= problem.capacity + 1e-9)
+        saa = problem.build_saa(2000, np.random.default_rng(21))
+        residual = np.linalg.norm(p - saa.proj(p - saa.value_grad(p)[1]))
+        assert residual == pytest.approx(ref.grad_map_norm, rel=1e-9)
+        assert residual <= 1e-8
+        tight = saa_reference(problem, sample_size=2000, seed=21, grad_map_tol=1e-12)
+        assert tight.converged
+        assert np.linalg.norm(p - tight.point) <= 1e-6
+
+    def test_budget_exhaustion_returns_certified_point_and_warns(self):
+        problem = UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=14)
+        with pytest.warns(UserWarning, match="returning best iterate"):
+            ref = saa_reference(problem, sample_size=2000, seed=21, max_iter=5)
+        assert not ref.converged
+        p = ref.point
+        assert np.all(p >= 0.0) and p.sum() == pytest.approx(1.0, abs=1e-12)
+        saa = problem.build_saa(2000, np.random.default_rng(21))
+        residual = np.linalg.norm(p - saa.proj(p - saa.value_grad(p)[1]))
+        assert residual == pytest.approx(ref.grad_map_norm, rel=1e-9)
+        assert residual > 1e-8
 
     def test_bimatrix_unregularized_limit(self):
         # as eta -> 0 the saddle point approaches (e_1, e_n)
