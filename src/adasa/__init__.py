@@ -1,6 +1,6 @@
 """Adaptive-steplength stochastic approximation toolkit.
 
-Projected SA engine (sa_core), harmonic/recursive/cascading steplength policies
+Projected SA engine (sa_core), harmonic/recursive/cascading steplength schedules
 (steplength), closed-form error bounds (bounds), local randomized smoothing
 (smoothing), three benchmark problems with reference solvers (problems), and a
 replication harness with CSV output (harness).
@@ -30,7 +30,6 @@ from .problems import (
     NetworkProblem,
     Reference,
     UtilityProblem,
-    bimatrix_oracle,
     capacity_vector,
     network_gradient,
     project_capacity,
@@ -39,7 +38,6 @@ from .problems import (
 )
 from .sa_core import (
     SaddlePoint,
-    SaRunRecord,
     Trajectory,
     run_sa,
     run_saddle_sa,
@@ -57,18 +55,17 @@ from .smoothing import (
 )
 from .steplength import (
     CsaParams,
-    CsaPolicy,
     CsaState,
-    HsaPolicy,
-    RsaPolicy,
-    csa_gamma,
+    StepSchedule,
     csa_phase1,
     csa_regime_length,
     csa_schedule,
-    hsa_gamma,
+    csa_steps,
+    hsa_steps,
     rsa_init,
     rsa_next,
     rsa_nonsmooth_init,
+    rsa_steps,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,14 @@ from .problems import (
 )
 from .sa_core import Trajectory, run_sa, run_saddle_sa
 from .smoothing import SmoothedOracle, smoothed_subgradient, smoothing_lipschitz
-from .steplength import CsaParams, CsaPolicy, HsaPolicy, RsaPolicy, csa_schedule
+from .steplength import (
+    CsaParams,
+    StepSchedule,
+    csa_schedule,
+    csa_steps,
+    hsa_steps,
+    rsa_steps,
+)
 
 PROBLEMS = ("utility", "bimatrix", "network")
 SCHEMES = ("hsa", "rsa", "csa")
@@ -247,11 +254,25 @@ def build_setup(config: ExperimentConfig) -> RunSetup:
 # steplength policy and bound construction
 
 
-def make_policy(config: ExperimentConfig, constants: dict[str, float]):
-    eta, lip, nu2 = constants["eta"], constants["lip"], constants["nu2"]
+def _csa_params(config: ExperimentConfig, constants: dict[str, float]) -> CsaParams:
+    lip = constants["lip"]
+    gamma_init = config.gamma0 if config.gamma0 is not None else 1.0 / lip
+    return CsaParams(
+        gamma_init=min(gamma_init, (1.0 - 1e-9) * 2.0 / lip),
+        theta=config.theta,
+        eta=constants["eta"],
+        lip=lip,
+        nu2=constants["nu2"],
+        d2=constants["d2"],
+    )
+
+
+def make_policy(config: ExperimentConfig, constants: dict[str, float]) -> StepSchedule:
+    """The scheme's steplengths for config.iters iterations, read in order."""
     if config.scheme == "hsa":
-        return HsaPolicy(config.alpha)
+        return StepSchedule(hsa_steps(config.alpha, config.iters))
     if config.scheme == "rsa":
+        eta, lip, nu2 = constants["eta"], constants["lip"], constants["nu2"]
         c = eta / 2.0
         if config.gamma0 is not None:
             gamma0 = min(config.gamma0, (1.0 - 1e-12) / c)
@@ -259,18 +280,9 @@ def make_policy(config: ExperimentConfig, constants: dict[str, float]):
             # scale e0 down when eta*e0/(2 nu2) exceeds 1/L (beta-scaling keeps
             # the sequence optimal); boundary value 1/L itself is admissible
             gamma0 = min(eta * constants["e0"] / (2.0 * nu2), 1.0 / lip)
-        return RsaPolicy(gamma0, c)
-    gamma_init = config.gamma0 if config.gamma0 is not None else 1.0 / lip
-    gamma_init = min(gamma_init, (1.0 - 1e-9) * 2.0 / lip)
-    params = CsaParams(
-        gamma_init=gamma_init,
-        theta=config.theta,
-        eta=eta,
-        lip=lip,
-        nu2=nu2,
-        d2=constants["d2"],
-    )
-    return CsaPolicy(params)
+        return StepSchedule(rsa_steps(gamma0, c, config.iters))
+    regimes = csa_schedule(_csa_params(config, constants), config.iters)
+    return StepSchedule(csa_steps(regimes, config.iters))
 
 
 def bound_trajectory(
@@ -282,17 +294,6 @@ def bound_trajectory(
             gammas, constants["eta"], constants["nu2"]
         )
     if config.scheme == "csa":
-        gamma_init = config.gamma0 if config.gamma0 is not None else 1.0 / constants["lip"]
-        gamma_init = min(gamma_init, (1.0 - 1e-9) * 2.0 / constants["lip"])
-        params = CsaParams(
-            gamma_init=gamma_init,
-            theta=config.theta,
-            eta=constants["eta"],
-            lip=constants["lip"],
-            nu2=constants["nu2"],
-            d2=constants["d2"],
-        )
-        schedule = csa_schedule(params, config.iters)
         bp = bounds_mod.BoundParams(
             eta=constants["eta"],
             lip=constants["lip"],
@@ -300,7 +301,8 @@ def bound_trajectory(
             e0=constants["e0"],
             d2=constants["d2"],
         )
-        return bounds_mod.csa_bound_trajectory(schedule, bp, config.iters)
+        regimes = csa_schedule(_csa_params(config, constants), config.iters)
+        return bounds_mod.csa_bound_trajectory(regimes, bp, config.iters)
     return np.full(len(gammas), math.nan)
 
 
@@ -332,23 +334,29 @@ class ExperimentResult:
         )
 
 
-def _log_ci_columns(
-    errors: np.ndarray, level: float
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    reps, n_iters = errors.shape
+def _columns(trajectories: Sequence[Trajectory], level: float):
+    """Per-iteration gamma, mean, ci_lo and ci_hi columns of equal-length
+    trajectories, and whether a zero error was floored for the log CI."""
+    if not trajectories:
+        raise ValueError("no trajectories to aggregate")
+    n_iters = trajectories[0].gammas.size
+    if any(t.squared_errors.size != n_iters for t in trajectories):
+        raise ValueError("trajectories have mismatched lengths")
+    errors = np.stack([t.squared_errors for t in trajectories])
+    reps = len(trajectories)
     lo = np.full(n_iters, math.nan)
     hi = np.full(n_iters, math.nan)
     floored = bool(np.any(errors < LOG_FLOOR))
-    if reps < 2:
-        return lo, hi, floored
-    logs = np.log(np.maximum(errors, LOG_FLOOR))
-    center = logs.mean(axis=0)
-    half = (
-        stats.t.ppf(0.5 * (1.0 + level), reps - 1)
-        * logs.std(axis=0, ddof=1)
-        / math.sqrt(reps)
-    )
-    return center - half, center + half, floored
+    if reps >= 2:
+        logs = np.log(np.maximum(errors, LOG_FLOOR))
+        center = logs.mean(axis=0)
+        half = (
+            stats.t.ppf(0.5 * (1.0 + level), reps - 1)
+            * logs.std(axis=0, ddof=1)
+            / math.sqrt(reps)
+        )
+        lo, hi = center - half, center + half
+    return trajectories[0].gammas, errors.mean(axis=0), lo, hi, floored
 
 
 def run_replications(
@@ -399,19 +407,13 @@ def run_replications(
                 f"replication {r} (seed {config.seed + r}) failed: {exc}"
             ) from exc
         trajectories.append(traj)
-    gammas = trajectories[0].gammas
-    errors = np.stack([t.squared_errors for t in trajectories])
-    bound = bound_trajectory(config, setup.constants, gammas)
-    for traj in trajectories:
-        for rec, b in zip(traj.records, bound):
-            rec.bound = float(b)
-    ci_lo, ci_hi, floored = _log_ci_columns(errors, ci_level)
+    gammas, mean, ci_lo, ci_hi, floored = _columns(trajectories, ci_level)
     return ExperimentResult(
         config=config,
         trajectories=trajectories,
         gammas=gammas,
-        bound=bound,
-        mean_sq_error=errors.mean(axis=0),
+        bound=bound_trajectory(config, setup.constants, gammas),
+        mean_sq_error=mean,
         ci_lo=ci_lo,
         ci_hi=ci_hi,
         terminal_errors=np.array([t.terminal_squared_error for t in trajectories]),
@@ -437,20 +439,13 @@ def emit_csv(
 ) -> None:
     """Write `k,gamma,mean_sq_error,ci_lo,ci_hi,theory_bound`, one row per
     iteration; 17 significant digits so values round-trip bit-exactly."""
-    if not trajectories:
-        raise ValueError("no trajectories to emit")
-    n_iters = len(trajectories[0].records)
-    if any(len(t.records) != n_iters for t in trajectories):
-        raise ValueError("trajectories have mismatched lengths")
+    gammas, mean, ci_lo, ci_hi, _ = _columns(trajectories, ci_level)
+    n_iters = gammas.size
     bounds = np.asarray(bounds, dtype=float)
     if bounds.size != n_iters:
         raise ValueError(
             f"bounds length {bounds.size} does not match trajectory length {n_iters}"
         )
-    errors = np.stack([t.squared_errors for t in trajectories])
-    mean = errors.mean(axis=0)
-    ci_lo, ci_hi, _ = _log_ci_columns(errors, ci_level)
-    gammas = trajectories[0].gammas
     lines = ["k,gamma,mean_sq_error,ci_lo,ci_hi,theory_bound"]
     for k in range(n_iters):
         lines.append(

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .sa_core import SaddlePoint
 from .smoothing import sample_ball, sample_ball_batch
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -388,16 +387,21 @@ class UtilityProblem:
         truncates at this estimate, taken at the barycenter.
         """
         center = np.full(self.n, 1.0 / self.n)
-        xi = rng.standard_normal((pilot_size, self.n))
-        z = sample_ball_batch(pilot_size, self.n, self.epsilon, rng)
-        points = center[None, :] + z
-        coeff = self.coeff_base[None, :] + xi
+        # in place, so only two pilot_size x n arrays are live at once; each
+        # operation keeps its operands, so the bound is bitwise that of the
+        # out-of-place formula the tests keep
+        coeff = rng.standard_normal((pilot_size, self.n))
+        points = sample_ball_batch(pilot_size, self.n, self.epsilon, rng)
+        points += center
+        coeff += self.coeff_base
         t = np.einsum("ij,ij->i", coeff, points)
         active = np.argmax(
             self.intercepts[None, :] + self.slopes[None, :] * t[:, None], axis=1
         )
-        grads = self.slopes[active][:, None] * coeff + self.eta * points
-        norms = np.linalg.norm(grads, axis=1)
+        coeff *= self.slopes[active][:, None]
+        points *= self.eta
+        coeff += points  # the subgradient samples
+        norms = np.linalg.norm(coeff, axis=1)
         return float(np.percentile(norms, percentile) * inflation)
 
     def build_saa(self, sample_size: int, rng: np.random.Generator) -> SaaMinimization:
@@ -542,13 +546,6 @@ class BimatrixProblem:
             y0=np.full(self.n, 1.0 / self.n),
             step=0.7 / lip,
         )
-
-
-def bimatrix_oracle(
-    problem: BimatrixProblem, state: SaddlePoint, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled (column, -row) pair at a saddle state; mean is (A^T y, -A x)."""
-    return problem.sampled_gradient(state.x, state.y, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -14,39 +14,21 @@ from typing import Callable
 
 import numpy as np
 
+from . import problems
+
 Projection = Callable[[np.ndarray], np.ndarray]
-
-
-class PolicyFailure(RuntimeError):
-    """A steplength policy produced an unusable value."""
-
-
-@dataclass
-class SaRunRecord:
-    """State of a run just before update k: steplength used and squared error."""
-
-    k: int
-    gamma: float
-    squared_error: float
-    bound: float = math.nan
 
 
 @dataclass
 class Trajectory:
-    """Per-iteration records plus the post-final-step error."""
+    """Steplength used and squared error before update k, for every k, plus the
+    error after the final update."""
 
-    records: list[SaRunRecord]
+    gammas: np.ndarray
+    squared_errors: np.ndarray
     terminal_squared_error: float
     final_point: np.ndarray
     clamped: bool = False
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.array([r.gamma for r in self.records])
-
-    @property
-    def squared_errors(self) -> np.ndarray:
-        return np.array([r.squared_error for r in self.records])
 
 
 @dataclass
@@ -84,13 +66,6 @@ def sa_step(
     return candidate if proj is None else proj(candidate)
 
 
-def _next_gamma(policy) -> float:
-    gamma = policy.next_gamma()
-    if not math.isfinite(gamma) or gamma <= 0:
-        raise PolicyFailure(f"policy produced gamma={gamma}")
-    return gamma
-
-
 def run_sa(
     oracle: Callable[[np.ndarray, np.random.Generator], np.ndarray],
     proj: Projection | None,
@@ -102,8 +77,9 @@ def run_sa(
 ) -> Trajectory:
     """Run n_iters projected SA steps, recording the pre-update error at each k.
 
-    Record k holds the steplength gamma_k actually used and ||x_k - reference||^2;
+    Entry k holds the steplength gamma_k actually used and ||x_k - reference||^2;
     the error after the final update is stored separately on the trajectory.
+    sa_step rejects a steplength that is not positive and finite.
     """
     if n_iters < 1:
         raise ValueError(f"iteration budget must be >= 1, got {n_iters}")
@@ -114,15 +90,17 @@ def run_sa(
             f"reference shape {reference.shape} does not match x0 {x.shape}"
         )
     _check_finite("x0", x)
-    records: list[SaRunRecord] = []
+    gammas = np.empty(n_iters)
+    errors = np.empty(n_iters)
     for k in range(n_iters):
-        gamma = _next_gamma(policy)
+        gammas[k] = gamma = policy.next_gamma()
         diff = x - reference
-        records.append(SaRunRecord(k=k, gamma=gamma, squared_error=float(diff @ diff)))
+        errors[k] = diff @ diff
         x = sa_step(x, oracle(x, rng), gamma, proj)
     diff = x - reference
     return Trajectory(
-        records=records,
+        gammas=gammas,
+        squared_errors=errors,
         terminal_squared_error=float(diff @ diff),
         final_point=x,
         clamped=bool(getattr(policy, "clamped", False)),
@@ -140,8 +118,6 @@ def saddle_step(
     gx must be the sampled x-gradient and gy the sampled ascent direction for y
     (the y-part of the saddle operator already sign-flipped by the caller).
     """
-    from .problems import project_simplex
-
     gx = np.asarray(gx, dtype=float)
     gy = np.asarray(gy, dtype=float)
     if gx.shape != state.x.shape or gy.shape != state.y.shape:
@@ -154,8 +130,8 @@ def saddle_step(
     if not math.isfinite(gamma) or gamma <= 0:
         raise ValueError(f"steplength must be positive and finite, got {gamma}")
     return SaddlePoint(
-        x=project_simplex(state.x - gamma * gx),
-        y=project_simplex(state.y + gamma * gy),
+        x=problems.project_simplex(state.x - gamma * gx),
+        y=problems.project_simplex(state.y + gamma * gy),
     )
 
 
@@ -182,16 +158,18 @@ def run_saddle_sa(
     reference = np.asarray(reference, dtype=float)
     if reference.size != state.x.size + state.y.size:
         raise ValueError("reference must stack the x and y components")
-    records: list[SaRunRecord] = []
+    gammas = np.empty(n_iters)
+    errors = np.empty(n_iters)
     for k in range(n_iters):
-        gamma = _next_gamma(policy)
+        gammas[k] = gamma = policy.next_gamma()
         diff = state.stacked() - reference
-        records.append(SaRunRecord(k=k, gamma=gamma, squared_error=float(diff @ diff)))
+        errors[k] = diff @ diff
         gx, gy = oracle(state.x, state.y, rng)
         state = saddle_step(state, gx, gy, gamma)
     diff = state.stacked() - reference
     return Trajectory(
-        records=records,
+        gammas=gammas,
+        squared_errors=errors,
         terminal_squared_error=float(diff @ diff),
         final_point=state.stacked(),
         clamped=bool(getattr(policy, "clamped", False)),

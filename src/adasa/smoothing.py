@@ -50,7 +50,8 @@ def sample_ball_batch(
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     radii = epsilon * rng.uniform(size=(m, 1)) ** (1.0 / n)
-    return directions * (radii / norms)
+    directions *= radii / norms
+    return directions
 
 
 def ball_volume_coeff(n: int) -> float:

@@ -1,31 +1,26 @@
-"""Steplength policies: harmonic, recursive (smooth and nonsmooth), and cascading.
+"""Steplength schedules: harmonic, recursive (smooth and nonsmooth), and cascading.
 
 The recursive rule shrinks the steplength through gamma_k = gamma_{k-1} *
 (1 - c*gamma_{k-1}); the cascading rule keeps it piecewise constant and drops it
 by a factor theta whenever the transient error has decayed to the persistent
 level. Regime lengths are computed from the problem constants (eta, L, nu2, D2),
-not from observed samples.
+not from observed samples, so every schedule is one array built up front and
+read in order by a StepSchedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 GAMMA_FLOOR = 1e-300  # clamp against denormal flush-to-zero
 
 
 class ConfigurationError(ValueError):
     """Raised when supplied constants violate a scheme's hypotheses."""
-
-
-def hsa_gamma(k: int, alpha: float) -> float:
-    """Harmonic steplength alpha/k for k >= 1."""
-    if k < 1:
-        raise ValueError(f"harmonic steplength needs k >= 1, got k={k}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return alpha / k
 
 
 def rsa_init(eta: float, nu2: float, e0: float, lip: float | None = None) -> float:
@@ -133,11 +128,6 @@ class CsaState:
     q_t: float
     k_t: int
     log_cum_product: float = 0.0
-    iteration_in_regime: int = 0
-
-    @property
-    def cumulative_product(self) -> float:
-        return math.exp(self.log_cum_product)
 
 
 def csa_phase1(params: CsaParams) -> tuple[int, float, int]:
@@ -227,25 +217,8 @@ def _advance_regime(state: CsaState, params: CsaParams) -> CsaState:
         q_t=params.q(clamped),
         k_t=0,
         log_cum_product=state.log_cum_product + state.k_t * math.log(state.q_t),
-        iteration_in_regime=0,
     )
     return replace(nxt, k_t=csa_regime_length(nxt, params))
-
-
-def csa_gamma(k: int, state: CsaState, params: CsaParams) -> tuple[float, CsaState]:
-    """Steplength for global iteration k and the successor state.
-
-    Advances through zero-length regimes until one with capacity remains; the
-    returned state has the iteration counted against the active regime.
-    """
-    guard = 0
-    while state.iteration_in_regime >= state.k_t:
-        state = _advance_regime(state, params)
-        guard += 1
-        if guard > 1_000_000:
-            raise ConfigurationError("cascading schedule failed to make progress")
-    new_state = replace(state, iteration_in_regime=state.iteration_in_regime + 1)
-    return state.gamma_t, new_state
 
 
 @dataclass(frozen=True)
@@ -281,72 +254,48 @@ def csa_schedule(params: CsaParams, n_iters: int) -> list[CsaRegime]:
     return regimes
 
 
-class HsaPolicy:
+def hsa_steps(alpha: float, n: int) -> np.ndarray:
     """Harmonic schedule alpha/k; iteration 0 reuses alpha (no division by zero)."""
-
-    def __init__(self, alpha: float):
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        self.alpha = alpha
-        self._k = 0
-        self.clamped = False
-
-    def next_gamma(self) -> float:
-        gamma = self.alpha if self._k == 0 else hsa_gamma(self._k, self.alpha)
-        self._k += 1
-        return gamma
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    ks = np.arange(n, dtype=float)
+    ks[:1] = 1.0
+    return alpha / ks
 
 
-class RsaPolicy:
-    """Recursive schedule gamma_{k+1} = gamma_k (1 - c gamma_k)."""
+def rsa_steps(gamma0: float, c: float, n: int) -> np.ndarray:
+    """Recursive schedule gamma_{k+1} = rsa_next(gamma_k, c), clamped at GAMMA_FLOOR."""
+    steps = []
+    gamma = gamma0
+    for _ in range(n):
+        steps.append(gamma)
+        gamma = max(rsa_next(gamma, c), GAMMA_FLOOR)
+    return np.array(steps, dtype=float)
 
-    def __init__(self, gamma0: float, c: float):
-        if c <= 0:
-            raise ValueError(f"contraction coefficient must be positive, got {c}")
-        if not 0.0 < gamma0 <= 1.0 / c:
-            raise ConfigurationError(
-                f"gamma0={gamma0} outside (0, 1/c]=(0, {1.0 / c}]"
-            )
-        self.gamma0 = gamma0
-        self.c = c
-        self.gamma_current = gamma0
-        self.clamped = False
 
-    @classmethod
-    def smooth(
-        cls, eta: float, nu2: float, e0: float, lip: float | None = None
-    ) -> "RsaPolicy":
-        """Optimal smooth instance: gamma0 = eta*e0/(2 nu2), c = eta/2."""
-        return cls(rsa_init(eta, nu2, e0, lip), eta / 2.0)
+def csa_steps(regimes: Sequence[CsaRegime], n: int) -> np.ndarray:
+    """First n steplengths of a cascading regime table (see csa_schedule)."""
+    steps = np.repeat(
+        [r.gamma for r in regimes], [min(r.length, n) for r in regimes]
+    )
+    if steps.size < n:
+        raise ValueError(f"regimes cover {steps.size} iterations, {n} requested")
+    return steps[:n]
 
-    @classmethod
-    def nonsmooth(cls, eta: float, diameter: float, subgrad_bound: float) -> "RsaPolicy":
-        """Bounded-subgradient instance: gamma0 = eta*D^2/M^2, c = eta."""
-        return cls(rsa_nonsmooth_init(eta, diameter, subgrad_bound), eta)
+
+class StepSchedule:
+    """Steplength policy reading a precomputed schedule array in order."""
+
+    def __init__(self, gammas: np.ndarray):
+        self.gammas = np.asarray(gammas, dtype=float)
+        self.used = 0
 
     def next_gamma(self) -> float:
-        gamma = self.gamma_current
-        nxt = gamma * (1.0 - self.c * gamma)
-        if nxt < GAMMA_FLOOR:
-            nxt = GAMMA_FLOOR
-            self.clamped = True
-        self.gamma_current = nxt
+        gamma = float(self.gammas[self.used])
+        self.used += 1
         return gamma
 
-
-class CsaPolicy:
-    """Cascading schedule driven by csa_phase1 / csa_regime_length."""
-
-    def __init__(self, params: CsaParams):
-        self.params = params
-        self.ell, gamma0, k0 = csa_phase1(params)
-        self.state = CsaState(t=0, gamma_t=gamma0, q_t=params.q(gamma0), k_t=k0)
-        self._k = 0
-        self.clamped = False
-
-    def next_gamma(self) -> float:
-        gamma, self.state = csa_gamma(self._k, self.state, self.params)
-        self._k += 1
-        if gamma <= GAMMA_FLOOR:
-            self.clamped = True
-        return gamma
+    @property
+    def clamped(self) -> bool:
+        """Whether a steplength handed out so far sits at GAMMA_FLOOR."""
+        return bool(np.any(self.gammas[: self.used] <= GAMMA_FLOOR))

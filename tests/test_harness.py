@@ -16,7 +16,7 @@ from adasa.harness import (
     resolve_config,
     run_replications,
 )
-from adasa.sa_core import SaRunRecord, Trajectory
+from adasa.sa_core import Trajectory
 
 
 def _read_csv(path):
@@ -61,12 +61,9 @@ class TestConfidenceInterval:
 
 def _toy_trajectory(errors, gammas=None):
     gammas = gammas if gammas is not None else [0.1] * len(errors)
-    records = [
-        SaRunRecord(k=k, gamma=g, squared_error=e)
-        for k, (g, e) in enumerate(zip(gammas, errors))
-    ]
-    return Trajectory(records=records, terminal_squared_error=errors[-1],
-                      final_point=np.zeros(1))
+    return Trajectory(gammas=np.array(gammas, dtype=float),
+                      squared_errors=np.array(errors, dtype=float),
+                      terminal_squared_error=errors[-1], final_point=np.zeros(1))
 
 
 class TestEmitCsv:
@@ -151,7 +148,7 @@ class TestRunReplications:
     def test_minimal_run_has_distinct_noise(self):
         config = resolve_config("bimatrix", "rsa", n=4, iters=1, replications=2, seed=5)
         result = run_replications(config)
-        assert all(len(t.records) == 1 for t in result.trajectories)
+        assert all(t.squared_errors.size == 1 for t in result.trajectories)
         finals = [t.final_point for t in result.trajectories]
         assert not np.array_equal(finals[0], finals[1])
 
@@ -190,11 +187,14 @@ class TestRunReplications:
                 assert np.all(np.diff(g) <= 0)
                 assert len(np.unique(g)) < 30  # piecewise constant
 
-    def test_bound_column_attached(self, small_bimatrix_result):
+    def test_bound_column_attached(self, small_bimatrix_result, tmp_path):
         result = small_bimatrix_result
+        assert result.bound.shape == (result.config.iters,)
         assert np.all(np.isfinite(result.bound))
-        for traj in result.trajectories:
-            assert traj.records[0].bound == result.bound[0]
+        path = tmp_path / "bound.csv"
+        emit_csv(result.trajectories, result.bound, str(path))
+        _, rows = _read_csv(str(path))
+        assert [float(row[5]) for row in rows] == result.bound.tolist()
 
     def test_metadata_contents(self, small_bimatrix_result, tmp_path):
         path = tmp_path / "meta.csv"

@@ -10,7 +10,6 @@ from adasa.problems import (
     SaaMinimization,
     UtilityProblem,
     _index_weights,
-    bimatrix_oracle,
     capacity_vector,
     network_gradient,
     network_value,
@@ -18,7 +17,6 @@ from adasa.problems import (
     project_simplex,
     saa_reference,
 )
-from adasa.sa_core import SaddlePoint
 
 
 class TestProjectSimplex:
@@ -183,6 +181,18 @@ class TestUtilityProblem:
             fd[i] = (value_batch(x + e).mean() - value_batch(x - e).mean()) / (2 * h)
         assert np.linalg.norm(grad_mean - fd) <= 4.0 * se + 5e-3
 
+    def test_pilot_bound_matches_out_of_place_formula(self):
+        # the in-place pilot runs the same IEEE operations in the same order
+        problem = UtilityProblem.from_seed(20, eta=0.5, epsilon=0.5, seed=3)
+        for seed in range(3):
+            got = problem.estimate_subgradient_bound(
+                np.random.default_rng(seed), pilot_size=2_000
+            )
+            want = _out_of_place_subgradient_bound(
+                problem, np.random.default_rng(seed), 2_000
+            )
+            assert got == want
+
     def test_sandwich_property(self):
         # f <= f_hat <= f + eps*C at random feasible points, within MC noise
         problem = UtilityProblem.from_seed(6, eta=0.5, epsilon=0.5, seed=12)
@@ -194,6 +204,26 @@ class TestUtilityProblem:
             f_val, se_val = _mc_plain_value(problem, x, 20_000, rng)
             sigma = 3.0 * math.hypot(se_hat, se_val)
             assert f_val - sigma <= f_hat <= f_val + problem.epsilon * cap + sigma
+
+
+def _out_of_place_subgradient_bound(problem, rng, pilot_size):
+    """Pilot bound with one new array per operation, ball draw included."""
+    n = problem.n
+    center = np.full(n, 1.0 / n)
+    xi = rng.standard_normal((pilot_size, n))
+    directions = rng.standard_normal((pilot_size, n))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    radii = problem.epsilon * rng.uniform(size=(pilot_size, 1)) ** (1.0 / n)
+    z = directions * (radii / norms)
+    points = center[None, :] + z
+    coeff = problem.coeff_base[None, :] + xi
+    t = np.einsum("ij,ij->i", coeff, points)
+    active = np.argmax(
+        problem.intercepts[None, :] + problem.slopes[None, :] * t[:, None], axis=1
+    )
+    grads = problem.slopes[active][:, None] * coeff + problem.eta * points
+    return float(np.percentile(np.linalg.norm(grads, axis=1), 99.9) * 1.25)
 
 
 def _direct_saa_value_grad(problem, z, x):
@@ -336,11 +366,10 @@ class TestBimatrixProblem:
         rng = np.random.default_rng(10)
         x = rng.dirichlet(np.ones(8))
         y = rng.dirichlet(np.ones(8))
-        state = SaddlePoint(x=x, y=y)
         m = 100_000
         draws = np.empty((m, 16))
         for i in range(m):
-            gx, gy = bimatrix_oracle(problem, state, rng)
+            gx, gy = problem.sampled_gradient(x, y, rng)
             draws[i, :8] = gx
             draws[i, 8:] = gy
         exact = np.concatenate(problem.exact_gradient(x, y))

@@ -1,0 +1,95 @@
+"""Property tests of the steplength schedules over random valid constants."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adasa.bounds import BoundParams, csa_bound_trajectory
+from adasa.steplength import (
+    GAMMA_FLOOR,
+    CsaParams,
+    StepSchedule,
+    csa_schedule,
+    csa_steps,
+    hsa_steps,
+    rsa_next,
+    rsa_steps,
+)
+
+SETTINGS = settings(deadline=None)
+
+
+@st.composite
+def csa_params(draw):
+    eta = draw(st.floats(0.05, 2.0))
+    lip = eta * draw(st.floats(1.0, 10.0))
+    return CsaParams(
+        gamma_init=draw(st.floats(0.01, 0.99)) * 2.0 / lip,
+        theta=draw(st.floats(0.1, 0.95)),
+        eta=eta,
+        lip=lip,
+        nu2=draw(st.floats(0.01, 10.0)),
+        d2=draw(st.floats(0.1, 10.0)),
+    )
+
+
+@SETTINGS
+@given(
+    c=st.floats(1e-3, 10.0),
+    start=st.floats(1e-3, 0.999),
+    n=st.integers(1, 500),
+)
+def test_rsa_steps_follow_the_recursion(c, start, n):
+    steps = rsa_steps(start / c, c, n)
+    assert steps.shape == (n,)
+    assert steps[0] == start / c
+    assert np.all(steps > 0.0)
+    assert np.all(np.diff(steps) < 0.0)
+    for prev, cur in zip(steps, steps[1:]):
+        assert cur == rsa_next(prev, c)
+
+
+@SETTINGS
+@given(params=csa_params(), n=st.integers(1, 3000))
+def test_csa_steps_drop_exactly_at_regime_starts(params, n):
+    regimes = csa_schedule(params, n)
+    steps = csa_steps(regimes, n)
+    assert steps.shape == (n,)
+    assert np.all(np.diff(steps) <= 0.0)
+    drops = (np.nonzero(np.diff(steps) < 0.0)[0] + 1).tolist()
+    assert drops == [r.start for r in regimes if 0 < r.start < n]
+
+
+@SETTINGS
+@given(alpha=st.floats(1e-6, 1e3), n=st.integers(2, 100))
+def test_hsa_steps_reuse_alpha_at_step_zero(alpha, n):
+    steps = hsa_steps(alpha, n)
+    assert steps[:2].tolist() == [alpha, alpha]
+    assert steps[n - 1] == alpha / (n - 1)
+
+
+@SETTINGS
+@given(
+    gammas=st.lists(
+        st.one_of(st.just(GAMMA_FLOOR), st.floats(1e-12, 1.0)), min_size=1, max_size=50
+    ),
+    data=st.data(),
+)
+def test_step_schedule_reads_in_order_and_flags_the_floor(gammas, data):
+    used = data.draw(st.integers(0, len(gammas)))
+    policy = StepSchedule(np.array(gammas))
+    assert [policy.next_gamma() for _ in range(used)] == gammas[:used]
+    assert policy.clamped == (GAMMA_FLOOR in gammas[:used])
+
+
+@SETTINGS
+@given(params=csa_params(), n=st.integers(1, 3000))
+def test_csa_bound_at_least_persistent_term(params, n):
+    regimes = csa_schedule(params, n)
+    bp = BoundParams(
+        eta=params.eta, lip=params.lip, nu2=params.nu2, e0=params.d2, d2=params.d2
+    )
+    bound = csa_bound_trajectory(regimes, bp, n)
+    for regime in regimes:
+        stop = min(regime.start + regime.length, n)
+        assert np.all(bound[regime.start : stop] >= params.persistent(regime.gamma))

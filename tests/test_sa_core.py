@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from adasa.bounds import rsa_bound_trajectory
+from adasa import problems
 from adasa.problems import project_simplex
 from adasa.sa_core import (
-    PolicyFailure,
     SaddlePoint,
     Trajectory,
     run_sa,
@@ -14,7 +14,7 @@ from adasa.sa_core import (
     sa_step,
     saddle_step,
 )
-from adasa.steplength import RsaPolicy
+from adasa.steplength import StepSchedule, rsa_init, rsa_steps
 
 
 class FixedPolicy:
@@ -64,8 +64,9 @@ class TestRunSa:
             reference=np.array([0.0]),
             rng=np.random.default_rng(0),
         )
-        for rec in traj.records:
-            assert rec.squared_error == pytest.approx(0.25**rec.k, rel=1e-12)
+        assert traj.gammas.tolist() == [0.5] * 20
+        for k, err in enumerate(traj.squared_errors):
+            assert err == pytest.approx(0.25**k, rel=1e-12)
         assert traj.terminal_squared_error == pytest.approx(0.25**20, rel=1e-12)
 
     def test_single_iteration_budget(self):
@@ -73,11 +74,12 @@ class TestRunSa:
             lambda x, rng: x, None, FixedPolicy(0.5), np.array([1.0]), 1,
             np.array([0.0]), np.random.default_rng(0),
         )
-        assert len(traj.records) == 1
-        assert traj.records[0].k == 0
+        assert traj.gammas.tolist() == [0.5]
+        assert traj.squared_errors.tolist() == [1.0]
+        assert traj.terminal_squared_error == 0.25
 
     def test_policy_failure_on_nonpositive_gamma(self):
-        with pytest.raises(PolicyFailure):
+        with pytest.raises(ValueError, match="steplength"):
             run_sa(
                 lambda x, rng: x, None, FixedPolicy(0.0), np.array([1.0]), 3,
                 np.array([0.0]), np.random.default_rng(0),
@@ -152,6 +154,20 @@ class TestSaddleStep:
                 assert v.sum() == pytest.approx(1.0, abs=1e-12)
                 assert np.all(v >= 0)
 
+    def test_projects_through_problems_module(self, monkeypatch):
+        # the simplex projection is looked up on adasa.problems at call time,
+        # so a wrapper installed there sees both projections of every step
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return project_simplex(v)
+
+        monkeypatch.setattr(problems, "project_simplex", counting)
+        state = SaddlePoint(x=np.full(3, 1 / 3), y=np.full(3, 1 / 3))
+        saddle_step(state, np.ones(3), np.ones(3), 0.1)
+        assert len(calls) == 2
+
     def test_dimension_mismatch(self):
         state = SaddlePoint(x=np.full(3, 1 / 3), y=np.full(3, 1 / 3))
         with pytest.raises(ValueError):
@@ -168,7 +184,8 @@ class TestRunSaddle:
             oracle, FixedPolicy(0.1), np.full(3, 1 / 3), np.full(3, 1 / 3), 5,
             ref, np.random.default_rng(0),
         )
-        assert len(traj.records) == 5
+        assert traj.gammas.tolist() == [0.1] * 5
+        assert traj.squared_errors.tolist() == [0.0] * 5
         assert traj.terminal_squared_error == 0.0
 
     def test_reference_size_checked(self):
@@ -198,7 +215,9 @@ class TestBoundDomination:
         errors = []
         gammas = None
         for r in range(reps):
-            policy = RsaPolicy.smooth(eta, nu2, e0_eff, lip)
+            policy = StepSchedule(
+                rsa_steps(rsa_init(eta, nu2, e0_eff, lip), eta / 2.0, n_iters)
+            )
             traj = run_sa(oracle, proj, policy, x0, n_iters, np.zeros(n),
                           np.random.default_rng(500 + r))
             errors.append(traj.squared_errors)

@@ -6,35 +6,37 @@ import pytest
 from adasa.steplength import (
     ConfigurationError,
     CsaParams,
-    CsaPolicy,
     CsaState,
     GAMMA_FLOOR,
-    HsaPolicy,
-    RsaPolicy,
+    StepSchedule,
     _advance_regime,
-    csa_gamma,
     csa_phase1,
     csa_regime_length,
     csa_schedule,
-    hsa_gamma,
+    csa_steps,
+    hsa_steps,
     rsa_init,
     rsa_next,
     rsa_nonsmooth_init,
+    rsa_steps,
 )
 
 
 class TestHarmonic:
     def test_values(self):
-        assert hsa_gamma(1, 1.0) == 1.0
-        assert hsa_gamma(4, 1.0) == 0.25
-        assert hsa_gamma(2, 0.5) == 0.25
+        assert hsa_steps(1.0, 5)[1] == 1.0
+        assert hsa_steps(1.0, 5)[4] == 0.25
+        assert hsa_steps(0.5, 3)[2] == 0.25
+        assert hsa_steps(1.0, 0).size == 0
 
-    def test_k_zero_rejected(self):
+    def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
-            hsa_gamma(0, 1.0)
+            hsa_steps(0.0, 3)
+        with pytest.raises(ValueError):
+            hsa_steps(-1.0, 3)
 
     def test_policy_reuses_alpha_at_step_zero(self):
-        policy = HsaPolicy(0.5)
+        policy = StepSchedule(hsa_steps(0.5, 4))
         gammas = [policy.next_gamma() for _ in range(4)]
         assert gammas == [0.5, 0.5, 0.25, 0.5 / 3]
 
@@ -90,8 +92,9 @@ class TestRsaNonsmoothInit:
             rsa_nonsmooth_init(2.0, 1.0, 2.0)
 
     def test_policy_uses_eta_contraction(self):
-        policy = RsaPolicy.nonsmooth(0.125, 1.0, 1.0)
-        assert policy.c == 0.125
+        # the bounded-subgradient variant contracts with c = eta
+        eta = 0.125
+        policy = StepSchedule(rsa_steps(rsa_nonsmooth_init(eta, 1.0, 1.0), eta, 2))
         first = policy.next_gamma()
         assert first == 0.125
         assert policy.next_gamma() == 0.125 * (1 - 0.125 * 0.125)
@@ -123,13 +126,13 @@ class TestGenericRecursionTail:
 
 class TestRsaMonotoneDecay:
     def test_million_steps_no_underflow(self):
-        policy = RsaPolicy.smooth(eta=0.5, nu2=1.0, e0=1.0, lip=2.0)
-        prev = math.inf
-        for _ in range(1_000_000):
-            gamma = policy.next_gamma()
-            assert 0.0 < gamma < prev
-            prev = gamma
-        assert prev > 0.0
+        # smooth instance: gamma0 = eta*e0/(2 nu2), c = eta/2
+        steps = rsa_steps(rsa_init(eta=0.5, nu2=1.0, e0=1.0, lip=2.0), 0.25, 1_000_000)
+        assert steps[0] == 0.25
+        assert np.all(steps > 0.0)
+        assert np.all(np.diff(steps) < 0.0)
+        policy = StepSchedule(steps)
+        assert [policy.next_gamma() for _ in range(steps.size)] == steps.tolist()
         assert not policy.clamped
 
 
@@ -237,10 +240,10 @@ class TestCsaGamma:
 
     def test_constant_within_regime_and_drops_at_boundaries(self):
         params = self._params()
-        policy = CsaPolicy(params)
         n = 3000
-        gammas = np.array([policy.next_gamma() for _ in range(n)])
         schedule = csa_schedule(params, n)
+        policy = StepSchedule(csa_steps(schedule, n))
+        gammas = np.array([policy.next_gamma() for _ in range(n)])
         for regime in schedule:
             stop = min(regime.start + regime.length, n)
             segment = gammas[regime.start : stop]
@@ -251,13 +254,26 @@ class TestCsaGamma:
         assert list(drops) == starts
 
     def test_functional_api_matches_policy(self):
+        # walking the regimes with csa_phase1/_advance_regime, each gamma_t
+        # repeated K_t times (zero-length regimes skipped), gives the policy's
+        # stream
         params = self._params()
         ell, gamma0, k0 = csa_phase1(params)
         state = CsaState(t=0, gamma_t=gamma0, q_t=params.q(gamma0), k_t=k0)
-        policy = CsaPolicy(params)
-        for k in range(500):
-            gamma, state = csa_gamma(k, state, params)
+        walked = []
+        while len(walked) < 500:
+            walked += [state.gamma_t] * min(state.k_t, 500)
+            state = _advance_regime(state, params)
+        policy = StepSchedule(csa_steps(csa_schedule(params, 500), 500))
+        for gamma in walked[:500]:
             assert gamma == policy.next_gamma()
+
+    def test_short_regime_table_rejected(self):
+        params = self._params()
+        schedule = csa_schedule(params, 10)
+        covered = schedule[-1].start + schedule[-1].length
+        with pytest.raises(ValueError, match="cover"):
+            csa_steps(schedule, covered + 1)
 
     def test_summability_proxies(self):
         # sum K_j theta^j must diverge while sum K_j theta^(2j) converges; the
@@ -288,8 +304,13 @@ class TestNumericalFloor:
         assert nxt.gamma_t == GAMMA_FLOOR
 
     def test_rsa_policy_floor_flag(self):
-        policy = RsaPolicy(gamma0=0.5, c=1.0)
-        policy.gamma_current = 0.5e-300
+        # c*gamma0 = 1/2: the next value 0.75e-300 falls below the floor, and so
+        # does every value computed from the floor itself
+        gamma0 = 1.5e-300
+        steps = rsa_steps(gamma0, 0.5 / gamma0, 3)
+        assert steps.tolist() == [gamma0, GAMMA_FLOOR, GAMMA_FLOOR]
+        policy = StepSchedule(steps)
         policy.next_gamma()
-        assert policy.gamma_current == GAMMA_FLOOR
+        assert not policy.clamped
+        policy.next_gamma()
         assert policy.clamped
