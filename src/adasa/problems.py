@@ -408,7 +408,9 @@ class UtilityProblem:
         """Deterministic objective: the Gaussian expectation is exact (closed form
         for a max-affine function under a normal), the ball perturbation is a
         fixed sample average of `sample_size` draws. The Gaussian at x + z_i has
-        mean (x + z_i) @ a and deviation ||x + z_i||, formed from Z @ x alone."""
+        mean (x + z_i) @ a and deviation ||x + z_i||, formed from Z @ x alone.
+        Z^T c goes through einsum rather than BLAS: a BLAS reduction over the
+        sample axis changes its bits with the thread count, and with them x*."""
         z_samples = sample_ball_batch(sample_size, self.n, self.epsilon, rng)
         z_mean = z_samples.mean(axis=0)
         v_h, s_h, knots = self._envelope
@@ -427,7 +429,7 @@ class UtilityProblem:
             grad = (
                 a * d_mu.mean()
                 + x * c.mean()
-                + (c @ z_samples) / sample_size
+                + np.einsum("i,ij->j", c, z_samples) / sample_size
                 + eta * (x + z_mean)
             )
             return value, grad

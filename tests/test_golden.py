@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adasa
 from adasa.harness import (
     _TAG_REFERENCE,
     build_setup,
@@ -30,18 +35,18 @@ SIZE = {"replications": 3, "iters": 300, "seed": 0}
 # (problem, scheme): (CSV SHA-256, meta.json SHA-256, repr(terminal_mean))
 GOLDEN = {
     ("utility", "hsa"): (
-        "19a26a5b76646a6834c54eb65d777968f5efdd2d37aab37690225fa48faccbad",
-        "6e9880d0fd72480ce319d3209afe15b5669a40668d7cb87ef2cf8e562a38feb9",
-        "0.010118532914617465",
+        "f18734e2b99c375e99e834128e88c7371f534daef843de11847363d4e433d48a",
+        "13aac8558e18c0b64814b6c13e88a8d662bfa5e491ad63ac5ed443e6afa95dd4",
+        "0.010118532914617466",
     ),
     ("utility", "rsa"): (
-        "7dd32ea6dd3b9b8ea5165119c4d640fa423055f52d4424e984475c48fb07fdcb",
-        "49fb98b0be396ed47f0342c68fb0ef719498c35e2b58a23c0e90aabcf525a2bf",
-        "0.012178205788180121",
+        "b0b2adf7e1432c1138e7ac3702aa1811a49550c40380a6baf36ab091ad02eb85",
+        "135dd2d63b05cb6c5873436ff5d6419feea9390629897c260319910997c2a514",
+        "0.012178205788180123",
     ),
     ("utility", "csa"): (
-        "9c8a8870ff4de688f4fb7f986ba13ecc73f02a8d8029ce339a9282caa7365919",
-        "3c6403da3a3537404aeed5e5585bdd8e94c18ca57c9604253392326a89c008b0",
+        "2a49305709c5e166764fea618df60ae3952ded460918d20e46772aba119760b5",
+        "b9930e770fb9e09d257b04528ce08828162e06976209a01b8c0cc671bc0d37bf",
         "0.012557151812413079",
     ),
     ("bimatrix", "hsa"): (
@@ -123,3 +128,31 @@ def test_fixed_seed_outputs(problem, scheme, shared_inputs, tmp_path):
     assert pinned_outputs(problem, scheme, shared_inputs, tmp_path) == GOLDEN[
         problem, scheme
     ]
+
+
+def test_utility_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The utility reference solve reduces over 100k samples; its bits, and so
+    every utility output, must not change with the BLAS thread count."""
+    src = str(Path(adasa.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads-{threads}"
+        run_dir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        subprocess.run(
+            [sys.executable, "-m", "adasa.cli", "--problem=utility", "--scheme=hsa"]
+            + [f"--{key}={value}" for key, value in SIZE.items()]
+            + ["--out=run.csv"],
+            cwd=run_dir,
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        outputs.append(
+            ((run_dir / "run.csv").read_bytes(), (run_dir / "run.csv.meta.json").read_bytes())
+        )
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0][0]).hexdigest() == GOLDEN["utility", "hsa"][0]
