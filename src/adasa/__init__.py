@@ -7,19 +7,14 @@ replication harness with CSV output (harness).
 """
 
 from .bounds import (
-    BoundParams,
     csa_bound_trajectory,
     e_k_recursion,
     q_factor,
     rsa_bound_trajectory,
-    rsa_nonsmooth_bound_trajectory,
-    transient_persistent,
 )
 from .harness import (
-    ConfidenceInterval,
     ExperimentConfig,
     ExperimentResult,
-    confidence_interval,
     emit_csv,
     emit_metadata,
     resolve_config,
@@ -45,12 +40,10 @@ from .sa_core import (
     saddle_step,
 )
 from .smoothing import (
-    BallDistribution,
     SmoothedOracle,
     ball_volume_coeff,
     sample_ball,
     smoothed_subgradient,
-    smoothed_value_estimate,
     smoothing_lipschitz,
 )
 from .steplength import (
@@ -62,9 +55,7 @@ from .steplength import (
     csa_schedule,
     csa_steps,
     hsa_steps,
-    rsa_init,
     rsa_next,
-    rsa_nonsmooth_init,
     rsa_steps,
 )
 

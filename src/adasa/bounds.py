@@ -1,40 +1,21 @@
 """Closed-form error quantities for the adaptive schemes.
 
 Everything here is a pure function of the problem constants: the per-step
-contraction factor q(gamma), the worst-case error recursion e_k, its
-transient/persistent split under a constant steplength, and the per-iteration
-upper-bound trajectories plotted against empirical error curves.
+contraction factor q(gamma), the worst-case error recursion e_k, and the
+per-iteration upper-bound trajectories plotted against empirical error curves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .steplength import CsaRegime
+if TYPE_CHECKING:  # steplength imports q_factor from here
+    from .steplength import CsaParams, CsaRegime
 
 LOG_SPACE_CUTOFF = -250.0 * math.log(10.0)  # switch to exp-of-logs below 1e-250
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Problem constants: strong convexity eta, gradient Lipschitz lip (eta <= lip),
-    noise second moment nu2, initial error e0, squared diameter d2."""
-
-    eta: float
-    lip: float
-    nu2: float
-    e0: float
-    d2: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= self.lip:
-            raise ValueError(f"need 0 < eta <= lip, got eta={self.eta}, lip={self.lip}")
-        if self.nu2 <= 0 or self.e0 <= 0:
-            raise ValueError("nu2 and e0 must be positive")
 
 
 def q_factor(gamma: float, eta: float, lip: float) -> float:
@@ -57,16 +38,6 @@ def e_k_recursion(e_prev: float, gamma_prev: float, eta: float, nu2: float) -> f
     return (1.0 - eta * gamma_prev) * e_prev + gamma_prev**2 * nu2
 
 
-def transient_persistent(
-    k: int, gamma: float, params: BoundParams
-) -> tuple[float, float]:
-    """Constant-step error split: (q^k * e0, gamma^2*nu2/(1-q))."""
-    q = q_factor(gamma, params.eta, params.lip)
-    transient = q**k * params.e0
-    persistent = gamma**2 * params.nu2 / (1.0 - q)
-    return transient, persistent
-
-
 def rsa_bound_trajectory(
     gammas: Sequence[float], eta: float, nu2: float
 ) -> np.ndarray:
@@ -74,25 +45,17 @@ def rsa_bound_trajectory(
     return (2.0 * nu2 / eta) * np.asarray(gammas, dtype=float)
 
 
-def rsa_nonsmooth_bound_trajectory(
-    gammas: Sequence[float], eta: float, m2: float
-) -> np.ndarray:
-    """Nonsmooth variant (M^2/eta)*gamma_k."""
-    return (m2 / eta) * np.asarray(gammas, dtype=float)
-
-
 def csa_bound_trajectory(
-    schedule: Sequence[CsaRegime], params: BoundParams, n_iters: int
+    schedule: Sequence[CsaRegime], params: CsaParams, n_iters: int
 ) -> np.ndarray:
     """Per-iteration bound along a cascading schedule.
 
     Within regime t at global iteration k the bound is
     q_t^(k - start_t) * 2^t * prod_{j<t} q_j^{K_j} * D^2 + gamma_t^2 nu2/(1-q_t),
     so the transient doubles at every regime entry (sawtooth) while the
-    persistent term drops. Values below ~1e-250 are assembled in log space.
+    persistent term drops. Values below ~1e-250 are assembled in log space;
+    a regime with q_t = 0 keeps the direct powers (q^0 = 1, then 0).
     """
-    if params.d2 is None:
-        raise ValueError("csa bounds need the squared diameter d2")
     out = np.empty(n_iters, dtype=float)
     log_d2 = math.log(params.d2)
     for regime in schedule:
@@ -100,14 +63,15 @@ def csa_bound_trajectory(
             break
         stop = min(regime.start + regime.length, n_iters)
         ks = np.arange(stop - regime.start, dtype=float)
-        persistent = regime.gamma**2 * params.nu2 / (1.0 - regime.q)
         log_t0 = regime.t * math.log(2.0) + regime.log_cum_product + log_d2
-        log_transient = ks * math.log(regime.q) + log_t0
-        if log_t0 > LOG_SPACE_CUTOFF and log_transient[-1] > LOG_SPACE_CUTOFF:
+        if regime.q == 0.0 or (
+            log_t0 > LOG_SPACE_CUTOFF
+            and ks[-1] * math.log(regime.q) + log_t0 > LOG_SPACE_CUTOFF
+        ):
             transient = regime.q**ks * math.exp(log_t0)
         else:
-            transient = np.exp(log_transient)
-        out[regime.start : stop] = transient + persistent
+            transient = np.exp(ks * math.log(regime.q) + log_t0)
+        out[regime.start : stop] = transient + params.persistent(regime.gamma)
     covered = schedule[-1].start + schedule[-1].length if schedule else 0
     if covered < n_iters:
         raise ValueError(

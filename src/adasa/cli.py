@@ -16,10 +16,6 @@ from .harness import (
     run_replications,
 )
 
-_FLOAT_KEYS = {"eta", "eps", "theta", "alpha", "gamma0"}
-_INT_KEYS = {"n", "iters", "replications", "seed"}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adasa",
@@ -56,44 +52,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_STR_KEYS = {"problem", "scheme", "out"}
-
-
-def _merge_settings(args: argparse.Namespace) -> dict:
+def _merge_settings(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """Config-file settings, typed by the parser itself, overlaid by the flags
+    given on the command line."""
     settings: dict = {}
     if args.config:
-        for key, raw in parse_config_file(args.config).items():
-            if key in _FLOAT_KEYS:
-                settings[key] = float(raw)
-            elif key in _INT_KEYS:
-                settings[key] = int(raw)
-            elif key in _STR_KEYS:
-                settings[key] = raw
-            else:
+        entries = parse_config_file(args.config)
+        for key in entries:
+            if key not in vars(args):  # exact flag names only, no abbreviations
                 raise SystemExit(f"error: unknown config key {key!r} in {args.config}")
-    for key in (
-        "problem",
-        "scheme",
-        "n",
-        "iters",
-        "eta",
-        "eps",
-        "theta",
-        "alpha",
-        "gamma0",
-        "replications",
-        "seed",
-        "out",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
+        from_file = parser.parse_args([f"--{k}={v}" for k, v in entries.items()])
+        settings = {k: v for k, v in vars(from_file).items() if v is not None}
+    settings.update({k: v for k, v in vars(args).items() if v is not None})
+    settings.pop("config", None)
     return settings
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    settings = _merge_settings(args)
+    parser = build_parser()
+    settings = _merge_settings(parser, parser.parse_args(argv))
     problem = settings.pop("problem", None)
     scheme = settings.pop("scheme", None)
     if problem is None or scheme is None:
@@ -112,11 +89,12 @@ def main(argv: list[str] | None = None) -> int:
           f"iters={config.iters} replications={config.replications} seed={config.seed}")
     print(f"reference residual {result.reference.grad_map_norm:.3e} "
           f"(converged={result.reference.converged})")
-    print(f"terminal mean squared error: {result.terminal_errors.mean():.6e}")
+    print(f"terminal mean squared error (arithmetic): {result.terminal_mean:.6e}")
+    ci = result.terminal_ci()
+    print(f"terminal geometric mean squared error: {math.exp(ci.log_center):.6e}")
     if config.replications >= 2:
-        ci = result.terminal_ci()
         print(
-            "terminal 90% CI (log-domain, shown as errors): "
+            "terminal 90% CI of the geometric mean (log-domain, shown as errors): "
             f"[{math.exp(ci.lower):.6e}, {math.exp(ci.upper):.6e}]"
         )
     print(f"wrote {config.out} and {meta_path}")

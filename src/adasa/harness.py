@@ -90,42 +90,38 @@ def resolve_config(problem: str, scheme: str, **overrides) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
+    """Student-t interval on log errors, with the mean log error at its centre."""
+
+    log_center: float
     lower: float
     upper: float
-    level: float = 0.90
-    log_domain: bool = False
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
+def log_t_interval(
+    errors: np.ndarray, level: float = 0.90
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-wise (centre, lower, upper) of the Student-t interval
+    mean +/- t_{(1+level)/2, m-1} * s/sqrt(m) on log errors over the m rows.
 
-def confidence_interval(
-    samples: Sequence[float], level: float = 0.90, log_domain: bool = False
-) -> ConfidenceInterval:
-    """Student-t interval mean +/- t_{(1+level)/2, m-1} * s/sqrt(m).
-
-    With log_domain the interval is computed on log(samples) and reported in
-    the log domain; nonpositive samples are rejected there.
+    Zero errors are floored at LOG_FLOOR before the log; with one row the
+    bounds are NaN.
     """
-    data = np.asarray(samples, dtype=float)
-    if data.size < 2:
-        raise ValueError("need at least 2 samples for a confidence interval")
-    if log_domain:
-        if np.any(data <= 0.0):
-            raise ValueError("log-domain intervals need strictly positive samples")
-        data = np.log(data)
-    center = float(data.mean())
-    half = float(
-        stats.t.ppf(0.5 * (1.0 + level), data.size - 1)
-        * data.std(ddof=1)
-        / math.sqrt(data.size)
+    logs = np.log(np.maximum(errors, LOG_FLOOR))
+    reps = logs.shape[0]
+    center = logs.mean(axis=0)
+    if reps < 2:
+        nan = np.full(center.shape, math.nan)
+        return center, nan, nan
+    half = (
+        stats.t.ppf(0.5 * (1.0 + level), reps - 1)
+        * logs.std(axis=0, ddof=1)
+        / math.sqrt(reps)
     )
-    return ConfidenceInterval(center - half, center + half, level, log_domain)
+    return center, center - half, center + half
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +290,9 @@ def bound_trajectory(
             gammas, constants["eta"], constants["nu2"]
         )
     if config.scheme == "csa":
-        bp = bounds_mod.BoundParams(
-            eta=constants["eta"],
-            lip=constants["lip"],
-            nu2=constants["nu2"],
-            e0=constants["e0"],
-            d2=constants["d2"],
-        )
-        regimes = csa_schedule(_csa_params(config, constants), config.iters)
-        return bounds_mod.csa_bound_trajectory(regimes, bp, config.iters)
+        params = _csa_params(config, constants)
+        regimes = csa_schedule(params, config.iters)
+        return bounds_mod.csa_bound_trajectory(regimes, params, config.iters)
     return np.full(len(gammas), math.nan)
 
 
@@ -329,9 +319,10 @@ class ExperimentResult:
         return float(self.terminal_errors.mean())
 
     def terminal_ci(self, level: float = 0.90) -> ConfidenceInterval:
-        return confidence_interval(
-            np.maximum(self.terminal_errors, LOG_FLOOR), level=level, log_domain=True
-        )
+        """Log-domain interval of the terminal errors; exp(log_center) is their
+        geometric mean."""
+        center, lo, hi = log_t_interval(self.terminal_errors[:, None], level)
+        return ConfidenceInterval(float(center[0]), float(lo[0]), float(hi[0]))
 
 
 def _columns(trajectories: Sequence[Trajectory], level: float):
@@ -343,19 +334,8 @@ def _columns(trajectories: Sequence[Trajectory], level: float):
     if any(t.squared_errors.size != n_iters for t in trajectories):
         raise ValueError("trajectories have mismatched lengths")
     errors = np.stack([t.squared_errors for t in trajectories])
-    reps = len(trajectories)
-    lo = np.full(n_iters, math.nan)
-    hi = np.full(n_iters, math.nan)
+    _, lo, hi = log_t_interval(errors, level)
     floored = bool(np.any(errors < LOG_FLOOR))
-    if reps >= 2:
-        logs = np.log(np.maximum(errors, LOG_FLOOR))
-        center = logs.mean(axis=0)
-        half = (
-            stats.t.ppf(0.5 * (1.0 + level), reps - 1)
-            * logs.std(axis=0, ddof=1)
-            / math.sqrt(reps)
-        )
-        lo, hi = center - half, center + half
     return trajectories[0].gammas, errors.mean(axis=0), lo, hi, floored
 
 
@@ -459,9 +439,7 @@ def emit_csv(
 def emit_metadata(result: ExperimentResult, csv_path: str) -> str:
     """Sidecar JSON next to the CSV with resolved parameters and constants."""
     meta_path = csv_path + ".meta.json"
-    terminal_ci = (
-        result.terminal_ci() if result.config.replications >= 2 else None
-    )
+    terminal_ci = result.terminal_ci()
     payload = {
         "config": asdict(result.config),
         "constants": result.constants,
@@ -470,9 +448,12 @@ def emit_metadata(result: ExperimentResult, csv_path: str) -> str:
             "converged": result.reference.converged,
             "iterations": result.reference.iterations,
         },
-        "terminal_mean_sq_error": float(result.terminal_errors.mean()),
+        "terminal_mean_sq_error": result.terminal_mean,
+        "terminal_geo_mean_sq_error": math.exp(terminal_ci.log_center),
         "terminal_log_ci": (
-            [terminal_ci.lower, terminal_ci.upper] if terminal_ci else None
+            [terminal_ci.lower, terminal_ci.upper]
+            if result.config.replications >= 2
+            else None
         ),
         "floored_zero_errors": result.floored_zeros,
         "clamped_steplengths": any(t.clamped for t in result.trajectories),

@@ -363,9 +363,6 @@ class UtilityProblem:
         slopes = np.sort(rng.uniform(0.0, 1.0, pieces))
         return cls(n=n, intercepts=intercepts, slopes=slopes, eta=eta, epsilon=epsilon)
 
-    def piecewise_max(self, t: float) -> float:
-        return float(np.max(self.intercepts + self.slopes * t))
-
     def oracle(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Subgradient sample of the regularized integrand at the queried point."""
         xi = rng.standard_normal(self.n)

@@ -110,21 +110,6 @@ def smoothing_lipschitz(n: int, subgrad_bound: float, epsilon: float) -> float:
 
 
 @dataclass(frozen=True)
-class BallDistribution:
-    """Uniform distribution on the epsilon-ball in R^n."""
-
-    n: int
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.epsilon <= 0:
-            raise ValueError("need n >= 1 and epsilon > 0")
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return sample_ball(self.n, self.epsilon, rng)
-
-
-@dataclass(frozen=True)
 class SmoothedOracle:
     """Ball-perturbed wrapper around a bounded-subgradient stochastic oracle.
 
@@ -160,21 +145,3 @@ def smoothed_subgradient(
             g = g * (oracle.subgrad_bound / norm)
     return g
 
-
-def smoothed_value_estimate(
-    value_fn: Callable[[np.ndarray, np.random.Generator], float],
-    x: np.ndarray,
-    m: int,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the smoothed value E[f(x+z)] and its standard error."""
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    x = np.asarray(x, dtype=float)
-    values = np.empty(m)
-    for i in range(m):
-        z = sample_ball(x.size, epsilon, rng)
-        values[i] = value_fn(x + z, rng)
-    stderr = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
-    return float(values.mean()), stderr

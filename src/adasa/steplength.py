@@ -1,4 +1,4 @@
-"""Steplength schedules: harmonic, recursive (smooth and nonsmooth), and cascading.
+"""Steplength schedules: harmonic, recursive, and cascading.
 
 The recursive rule shrinks the steplength through gamma_k = gamma_{k-1} *
 (1 - c*gamma_{k-1}); the cascading rule keeps it piecewise constant and drops it
@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import q_factor
+
 GAMMA_FLOOR = 1e-300  # clamp against denormal flush-to-zero
 
 
@@ -23,32 +25,10 @@ class ConfigurationError(ValueError):
     """Raised when supplied constants violate a scheme's hypotheses."""
 
 
-def rsa_init(eta: float, nu2: float, e0: float, lip: float | None = None) -> float:
-    """Initial recursive steplength eta*e0/(2*nu2).
-
-    When the gradient Lipschitz constant `lip` is given, enforces
-    eta*e0/(2*nu2) <= 1/lip; scaling e0 down by any beta < 1 preserves the
-    optimality of the resulting sequence, so the error message suggests that.
-    """
-    if eta <= 0 or nu2 <= 0:
-        raise ValueError(f"eta and nu2 must be positive, got eta={eta}, nu2={nu2}")
-    if e0 <= 0:
-        raise ValueError(f"initial error bound e0 must be positive, got {e0}")
-    gamma0 = eta * e0 / (2.0 * nu2)
-    if lip is not None and gamma0 > 1.0 / lip:
-        raise ConfigurationError(
-            f"eta*e0/(2*nu2) = {gamma0:.6g} exceeds 1/L = {1.0 / lip:.6g}; "
-            f"rescale e0 below {2.0 * nu2 / (eta * lip):.6g} (any beta < 1 "
-            "scaling keeps the sequence optimal)"
-        )
-    return gamma0
-
-
 def rsa_next(gamma_prev: float, c: float) -> float:
     """One step of the contraction recursion gamma*(1 - c*gamma).
 
-    Smooth strongly convex problems use c = eta/2, the nonsmooth variant c = eta.
-    The iterate stays in (0, gamma_prev) whenever 0 < gamma_prev < 1/c.
+    Smooth strongly convex problems use c = eta/2. The iterate stays in (0, gamma_prev) whenever 0 < gamma_prev < 1/c.
     """
     if c <= 0:
         raise ValueError(f"contraction coefficient must be positive, got {c}")
@@ -57,23 +37,6 @@ def rsa_next(gamma_prev: float, c: float) -> float:
             f"gamma={gamma_prev} outside (0, 1/c)=(0, {1.0 / c}); recursion would leave the domain"
         )
     return gamma_prev * (1.0 - c * gamma_prev)
-
-
-def rsa_nonsmooth_init(eta: float, diameter: float, subgrad_bound: float) -> float:
-    """Initial steplength eta*D^2/M^2 for the bounded-subgradient variant."""
-    if eta <= 0 or diameter <= 0 or subgrad_bound <= 0:
-        raise ValueError("eta, diameter and subgradient bound must all be positive")
-    gamma0 = eta * diameter**2 / subgrad_bound**2
-    if gamma0 >= 0.5:
-        raise ConfigurationError(
-            f"eta*D^2/M^2 = {gamma0:.6g} must be < 1/2 for the nonsmooth scheme"
-        )
-    return gamma0
-
-
-def _q(gamma: float, eta: float, lip: float) -> float:
-    # contraction factor of the constant-step error recursion
-    return 1.0 - eta * gamma * (2.0 - gamma * lip)
 
 
 @dataclass(frozen=True)
@@ -108,7 +71,7 @@ class CsaParams:
             raise ConfigurationError("nu2 and d2 must be positive")
 
     def q(self, gamma: float) -> float:
-        return _q(gamma, self.eta, self.lip)
+        return q_factor(gamma, self.eta, self.lip)
 
     def persistent(self, gamma: float) -> float:
         return gamma**2 * self.nu2 / (1.0 - self.q(gamma))
@@ -140,10 +103,9 @@ def csa_phase1(params: CsaParams) -> tuple[int, float, int]:
     j = 0
     gamma = params.gamma_init
     while True:
-        q = params.q(gamma)
         # q >= 1 can only occur if gamma_init were outside (0, 2/L); guarded in
         # CsaParams, but kept here so phase 1 never divides by a nonpositive gap
-        if q < 1.0 and params.d2 > gamma**2 * params.nu2 / (1.0 - q):
+        if params.q(gamma) < 1.0 and params.d2 > params.persistent(gamma):
             break
         j += 1
         gamma = params.gamma_init * params.theta**j
@@ -167,6 +129,9 @@ def _largest_k(q: float, log_transient0: float, persistent: float) -> int:
         # only reachable when eta*gamma underflows below float epsilon; the
         # transient then never decays, so the regime is effectively final
         return 2**62 if log_transient0 > math.log(persistent) else -1
+    if q == 0.0:
+        # q^k vanishes for every k >= 1, so only k = 0 can hold
+        return 0 if _k_holds(q, 0, log_transient0, persistent) else -1
     log_ratio = math.log(persistent) - log_transient0
     if log_ratio >= 0.0 and not _k_holds(q, 0, log_transient0, persistent):
         return -1
@@ -179,11 +144,13 @@ def _largest_k(q: float, log_transient0: float, persistent: float) -> int:
 
 
 def _k_holds(q: float, k: int, log_transient0: float, persistent: float) -> bool:
-    # evaluate q^k * transient0 > persistent without underflow for huge k
-    log_lhs = k * math.log(q) + log_transient0
+    # evaluate q^k * transient0 > persistent without underflow for huge k;
+    # q^0 = 1 needs no log, so k = 0 also works at q = 0
+    log_qk = k * math.log(q) if k else 0.0
+    log_lhs = log_qk + log_transient0
     if log_lhs < -650.0:
         return False
-    if abs(log_transient0) < 600.0 and k * math.log(q) > -600.0:
+    if abs(log_transient0) < 600.0 and log_qk > -600.0:
         return math.exp(log_lhs) > persistent
     return log_lhs > math.log(persistent)
 
@@ -216,7 +183,9 @@ def _advance_regime(state: CsaState, params: CsaParams) -> CsaState:
         gamma_t=clamped,
         q_t=params.q(clamped),
         k_t=0,
-        log_cum_product=state.log_cum_product + state.k_t * math.log(state.q_t),
+        # a regime of length 0 contributes q^0 = 1, also when q = 0
+        log_cum_product=state.log_cum_product
+        + (state.k_t * math.log(state.q_t) if state.k_t else 0.0),
     )
     return replace(nxt, k_t=csa_regime_length(nxt, params))
 

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from adasa.bounds import (
-    BoundParams,
     csa_bound_trajectory,
     e_k_recursion,
     q_factor,
     rsa_bound_trajectory,
-    rsa_nonsmooth_bound_trajectory,
-    transient_persistent,
 )
-from adasa.steplength import CsaParams, CsaState, csa_phase1, csa_schedule
+from adasa.steplength import ConfigurationError, CsaParams, CsaRegime, csa_schedule
 
 
 class TestQFactor:
@@ -61,15 +58,13 @@ class TestErrorRecursion:
 
 
 class TestTransientPersistent:
+    # the constant-step split q^k * e0 + gamma^2 nu2/(1-q), with the persistent
+    # term from CsaParams and the contraction factor from q_factor
     def _params(self):
-        return BoundParams(eta=1.0, lip=2.0, nu2=1.0, e0=1.0, d2=1.0)
-
-    def test_k_zero_returns_e0(self):
-        transient, _ = transient_persistent(0, 0.5, self._params())
-        assert transient == 1.0
+        return CsaParams(gamma_init=0.5, theta=0.5, eta=1.0, lip=2.0, nu2=1.0, d2=1.0)
 
     def test_persistent_matches_simplified_form(self):
-        _, persistent = transient_persistent(3, 0.5, self._params())
+        persistent = self._params().persistent(0.5)
         assert persistent == 0.5
         gamma, eta, lip, nu2 = 0.5, 1.0, 2.0, 1.0
         assert persistent == pytest.approx(gamma * nu2 / (eta * (2 - gamma * lip)))
@@ -77,21 +72,22 @@ class TestTransientPersistent:
     def test_persistent_increasing_in_gamma(self):
         params = self._params()
         grid = np.linspace(1e-4, 2.0 / params.lip - 1e-4, 1000)
-        values = [transient_persistent(1, g, params)[1] for g in grid]
+        values = [params.persistent(g) for g in grid]
         assert np.all(np.diff(values) > 0)
 
     def test_sum_satisfies_constant_step_recursion(self):
         # S_k = q^k e0 + P obeys S_{k+1} = q S_k + gamma^2 nu2 seeded at e0 + P;
         # the same recursion seeded at e0 gives the constant-step bound RHS,
         # which sits exactly q^k * P below the sum
-        params = self._params()
+        params, e0 = self._params(), 1.0
         gamma = 0.4
         q = q_factor(gamma, params.eta, params.lip)
-        s = [sum(transient_persistent(k, gamma, params)) for k in range(200)]
-        rhs = params.e0
+        assert params.q(gamma) == q
+        persistent = params.persistent(gamma)
+        s = [q**k * e0 + persistent for k in range(200)]
+        rhs = e0
         for k in range(199):
             assert s[k + 1] == pytest.approx(q * s[k] + gamma**2 * params.nu2, rel=1e-12)
-            transient, persistent = transient_persistent(k, gamma, params)
             assert s[k] - rhs == pytest.approx(q**k * persistent, rel=1e-12)
             rhs = q * rhs + gamma**2 * params.nu2
 
@@ -107,10 +103,6 @@ class TestRsaBoundTrajectory:
         bound = rsa_bound_trajectory([0.25, 0.234375], 0.5, 1.0)
         assert bound[1] == 0.9375
 
-    def test_nonsmooth_coefficient(self):
-        bound = rsa_nonsmooth_bound_trajectory([0.125], 1.0, 16.0)
-        assert bound[0] == 2.0
-
     def test_strictly_decreasing_along_policy(self):
         gammas = [0.3]
         for _ in range(500):
@@ -122,30 +114,29 @@ class TestRsaBoundTrajectory:
 class TestCsaBoundTrajectory:
     def _setup(self, n_iters=4000):
         params = CsaParams(gamma_init=0.3, theta=0.5, eta=0.9, lip=2.2, nu2=1.0, d2=2.0)
-        bp = BoundParams(eta=0.9, lip=2.2, nu2=1.0, e0=2.0, d2=2.0)
         schedule = csa_schedule(params, n_iters)
-        return params, bp, schedule, csa_bound_trajectory(schedule, bp, n_iters)
+        return params, schedule, csa_bound_trajectory(schedule, params, n_iters)
 
     def test_regime_zero_closed_form(self):
-        params, bp, schedule, bound = self._setup()
+        params, schedule, bound = self._setup()
         r0 = schedule[0]
         pers = r0.gamma**2 / (1.0 - r0.q)
         for k in range(min(r0.length, 200)):
             assert bound[k] == pytest.approx(r0.q**k * 2.0 + pers, rel=1e-9)
 
     def test_transient_doubles_and_persistent_drops_at_boundaries(self):
-        params, bp, schedule, bound = self._setup()
+        params, schedule, bound = self._setup()
         for prev, cur in zip(schedule, schedule[1:]):
             if cur.start >= len(bound):
                 break
-            pers_prev = prev.gamma**2 * bp.nu2 / (1.0 - prev.q)
-            pers_cur = cur.gamma**2 * bp.nu2 / (1.0 - cur.q)
+            pers_prev = prev.gamma**2 * params.nu2 / (1.0 - prev.q)
+            pers_cur = cur.gamma**2 * params.nu2 / (1.0 - cur.q)
             assert pers_cur < pers_prev
             transient_old_end = (
                 prev.q**prev.length
                 * 2.0**prev.t
                 * math.exp(prev.log_cum_product)
-                * bp.d2
+                * params.d2
             )
             entry = bound[cur.start] - pers_cur
             assert entry == pytest.approx(2.0 * transient_old_end, rel=1e-9)
@@ -154,28 +145,38 @@ class TestCsaBoundTrajectory:
         # within a regime the transient strictly exceeds the persistent level,
         # so the bound at the last iterate is below twice the transient there,
         # which is the doubled product entering the next regime
-        params, bp, schedule, bound = self._setup()
+        params, schedule, bound = self._setup()
         for regime in schedule[:-1]:
             transient_end = (
                 regime.q ** (regime.length - 1)
                 * 2.0**regime.t
                 * math.exp(regime.log_cum_product)
-                * bp.d2
+                * params.d2
             )
-            pers = regime.gamma**2 * bp.nu2 / (1.0 - regime.q)
+            pers = regime.gamma**2 * params.nu2 / (1.0 - regime.q)
             last = regime.start + regime.length - 1
             if last < len(bound):
                 assert bound[last] <= 2.0 * transient_end * (1 + 1e-12)
 
     def test_finite_positive_and_vanishing(self):
-        params, bp, schedule, bound = self._setup(20_000)
+        params, schedule, bound = self._setup(20_000)
         assert np.all(np.isfinite(bound))
         assert np.all(bound > 0)
         starts = [r.start for r in schedule if r.start < 20_000]
         assert bound[starts[-1]] < 1e-3 * bound[starts[0]]
 
     def test_requires_diameter(self):
-        params, bp, schedule, _ = self._setup(100)
-        bad = BoundParams(eta=0.9, lip=2.2, nu2=1.0, e0=2.0, d2=None)
-        with pytest.raises(ValueError):
-            csa_bound_trajectory(schedule, bad, 100)
+        # the bound reads D^2 from the same CsaParams that built the schedule
+        with pytest.raises(ConfigurationError):
+            CsaParams(gamma_init=0.3, theta=0.5, eta=0.9, lip=2.2, nu2=1.0, d2=0.0)
+
+    def test_zero_contraction_factor(self):
+        # eta = L and gamma = 1/L give q = 0: the transient is D^2 * 2^t at a
+        # regime's first iteration and 0 after it, with no log(0) taken
+        params = CsaParams(gamma_init=1.0, theta=0.5, eta=1.0, lip=1.0, nu2=1.0, d2=2.0)
+        assert params.q(1.0) == 0.0
+        schedule = csa_schedule(params, 50)
+        bound = csa_bound_trajectory(schedule, params, 50)
+        assert np.all(np.isfinite(bound)) and np.all(bound > 0)
+        zero = CsaRegime(t=0, gamma=1.0, q=0.0, length=3, start=0, log_cum_product=0.0)
+        assert csa_bound_trajectory([zero], params, 3).tolist() == [3.0, 1.0, 1.0]

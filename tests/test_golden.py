@@ -36,47 +36,47 @@ SIZE = {"replications": 3, "iters": 300, "seed": 0}
 GOLDEN = {
     ("utility", "hsa"): (
         "f18734e2b99c375e99e834128e88c7371f534daef843de11847363d4e433d48a",
-        "13aac8558e18c0b64814b6c13e88a8d662bfa5e491ad63ac5ed443e6afa95dd4",
+        "5bfe07927e5e686ecf592f3685691d0d89140b5d79233d23f5164830d1d6b930",
         "0.010118532914617466",
     ),
     ("utility", "rsa"): (
         "b0b2adf7e1432c1138e7ac3702aa1811a49550c40380a6baf36ab091ad02eb85",
-        "135dd2d63b05cb6c5873436ff5d6419feea9390629897c260319910997c2a514",
+        "e5ee41fdb69c8018dc8ed9ddf3f637683c5edc90bbff95c9b90a2b86f31430c8",
         "0.012178205788180123",
     ),
     ("utility", "csa"): (
         "2a49305709c5e166764fea618df60ae3952ded460918d20e46772aba119760b5",
-        "b9930e770fb9e09d257b04528ce08828162e06976209a01b8c0cc671bc0d37bf",
+        "0edd86d709856f3e99b4145f13dc0e2cece3396a0e22110bb5794d6dbef79a42",
         "0.012557151812413079",
     ),
     ("bimatrix", "hsa"): (
         "408213ce992fb00c152539541f720755439879c76c57cd52b436576028b99237",
-        "05cdfb60b908f594b578cf579929974027e8e7ffabcde3e31b73493e75b20429",
+        "ddb918a8a9d8fdad894878c3674a532943dad11ebca7db4273cdf812ae95fd38",
         "0.7414987291663113",
     ),
     ("bimatrix", "rsa"): (
         "e4a20b08318e2d216166f705057f11c131f8d44ab4ffe2f668a9dd0a0c764b73",
-        "dd7cb8bc1ab31dd096e1f7fa6d3fcec6ff595d33059c9fffa3592e5ad7a27f73",
+        "13387eb54ba37556a89be2b76829e8038514afc5c236bea8b51bf9cd642861eb",
         "0.9461175368215019",
     ),
     ("bimatrix", "csa"): (
         "23f07240fa2beecbf3d27314b83e12dfc6ef42fbfd367ae1834c9fa424555fb4",
-        "7b850f208234056594d8f83e1a1c43a6a5dabaded90bfb096c480b2a2bb45133",
+        "b79e969ab1d34dfb62d4624b88e22134905cc1274a9532ec439869424876858f",
         "0.7399430159794996",
     ),
     ("network", "hsa"): (
         "36ddbdbdb0ae1291206273d6c107e0674ac3c686c90d325c259c5a4fae0b791f",
-        "5f8a28719d992315069e45a753c4a0d12d4f977fafbb3d43852e4906545dd0e0",
+        "c3c033eb7e1507fa060b546ea54369d5bd56190eb1f449f88095d4492e2dad48",
         "0.0001605856012877691",
     ),
     ("network", "rsa"): (
         "216979eddffff6cf0fb2ae28ec483c63fb962dd85bda861f8e8742b8c4b67f09",
-        "88e21504073e9b9a7da3a2bf996d9086b272db7fd7cf1c200e85711d9a844dd0",
+        "a5bfa92531bb3ef1543f6e860df3a7db2dbbd0d5cbc150feeccaccc3ad8ed929",
         "0.0002147424385290324",
     ),
     ("network", "csa"): (
         "fb15b7addd5dbcbf0ce0eeddb169883611ad01d62efa500652dd7dab2cc13088",
-        "0d6831275ab18f7ac3be38ef57c0163f07f3744baa284c405ce003b8c5fa1391",
+        "236d6ca8a86ec286de497cd5363a4c01b49fecda7c59f31a9207ca00bf3a6ad4",
         "0.00011719175670869848",
     ),
 }

@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import adasa.cli
 from adasa.cli import main as cli_main
 from adasa.harness import (
+    LOG_FLOOR,
     ConfidenceInterval,
     ExperimentConfig,
-    confidence_interval,
+    ExperimentResult,
     emit_csv,
     emit_metadata,
+    log_t_interval,
     parse_config_file,
     resolve_config,
     run_replications,
 )
+from adasa.problems import Reference
 from adasa.sa_core import Trajectory
 
 
@@ -29,34 +33,36 @@ def _read_csv(path):
 
 class TestConfidenceInterval:
     def test_zero_variance_log_domain(self):
-        ci = confidence_interval([1.0, 1.0, 1.0], log_domain=True)
-        assert ci.lower == 0.0 and ci.upper == 0.0
+        center, lo, hi = log_t_interval(np.ones((3, 2)))
+        assert center.tolist() == lo.tolist() == hi.tolist() == [0.0, 0.0]
 
     def test_log_center_of_geometric_samples(self):
-        ci = confidence_interval([1.0, math.e, math.e**2], log_domain=True)
-        assert ci.center == pytest.approx(1.0, abs=1e-12)
-        assert ci.log_domain
+        center, _, _ = log_t_interval(np.array([[1.0], [math.e], [math.e**2]]))
+        assert center[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_linear_matches_scipy(self):
-        samples = [1.0, 2.0, 3.0]
-        ci = confidence_interval(samples, level=0.90)
-        lo, hi = scipy.stats.t.interval(
-            0.90, 2, loc=np.mean(samples), scale=scipy.stats.sem(samples)
-        )
-        assert ci.lower == pytest.approx(lo, rel=1e-12)
-        assert ci.upper == pytest.approx(hi, rel=1e-12)
+    def test_log_interval_matches_scipy(self):
+        samples = np.array([[1.0, 0.5], [2.0, 0.25], [3.0, 4.0], [7.0, 1e-3]])
+        _, lo, hi = log_t_interval(samples, level=0.90)
+        for j in range(samples.shape[1]):
+            logs = np.log(samples[:, j])
+            ref_lo, ref_hi = scipy.stats.t.interval(
+                0.90, logs.size - 1, loc=logs.mean(), scale=scipy.stats.sem(logs)
+            )
+            assert lo[j] == pytest.approx(ref_lo, rel=1e-12)
+            assert hi[j] == pytest.approx(ref_hi, rel=1e-12)
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0])
+        center, lo, hi = log_t_interval(np.array([[2.0, 3.0]]))
+        assert center.tolist() == [math.log(2.0), math.log(3.0)]
+        assert np.all(np.isnan(lo)) and np.all(np.isnan(hi))
 
-    def test_log_domain_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0, 0.0], log_domain=True)
+    def test_zero_errors_floored_before_log(self):
+        center, lo, hi = log_t_interval(np.array([[0.0], [0.0]]))
+        assert center[0] == lo[0] == hi[0] == math.log(LOG_FLOOR)
 
     def test_interval_order_enforced(self):
         with pytest.raises(ValueError):
-            ConfidenceInterval(lower=1.0, upper=0.0)
+            ConfidenceInterval(log_center=0.5, lower=1.0, upper=0.0)
 
 
 def _toy_trajectory(errors, gammas=None):
@@ -254,3 +260,48 @@ class TestCli:
     def test_missing_problem_errors(self, capsys):
         assert cli_main(["--scheme", "rsa"]) == 2
         assert "required" in capsys.readouterr().err
+
+    def test_unknown_config_key_names_it(self, tmp_path):
+        # exact flag names only: an abbreviation the parser would accept on the
+        # command line is still an unknown key in the file
+        for line in ("bogus=1", "iter=30"):
+            cfg_file = tmp_path / "bad.cfg"
+            cfg_file.write_text(f"problem=bimatrix\nscheme=rsa\n{line}\n")
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["--config", str(cfg_file)])
+            key = line.split("=")[0]
+            assert isinstance(exc.value.code, str) and repr(key) in exc.value.code
+
+
+class TestReportedStatistics:
+    def test_geometric_mean_lies_inside_its_interval(self, tmp_path, capsys, monkeypatch):
+        # one outlier among 50 replications: the arithmetic mean (~0.02) falls
+        # outside the log-domain interval, the geometric mean it brackets not
+        terminal = np.array([1e-6] * 49 + [1.0])
+        out = str(tmp_path / "toy.csv")
+        config = ExperimentConfig("network", "rsa", n=1, iters=1, eta=0.5,
+                                  epsilon=0.5, replications=terminal.size, out=out)
+        trajectories = [_toy_trajectory([e]) for e in terminal]
+        errors = terminal[:, None]
+        _, ci_lo, ci_hi = log_t_interval(errors)
+        toy = ExperimentResult(
+            config=config, trajectories=trajectories, gammas=np.array([0.1]),
+            bound=np.array([1.0]), mean_sq_error=errors.mean(axis=0), ci_lo=ci_lo,
+            ci_hi=ci_hi, terminal_errors=terminal, constants={},
+            reference=Reference(np.zeros(1), 0.0, True, 0), floored_zeros=False,
+        )
+        monkeypatch.setattr(adasa.cli, "run_replications", lambda config: toy)
+        assert cli_main(["--problem", "network", "--scheme", "rsa", "--out", out]) == 0
+
+        meta = json.loads((tmp_path / "toy.csv.meta.json").read_text())
+        lo, hi = meta["terminal_log_ci"]
+        assert lo <= math.log(meta["terminal_geo_mean_sq_error"]) <= hi
+        assert not lo <= math.log(meta["terminal_mean_sq_error"]) <= hi
+        assert meta["terminal_mean_sq_error"] == float(terminal.mean())
+
+        stdout = capsys.readouterr().out
+        geo = float(stdout.split("terminal geometric mean squared error: ")[1].split()[0])
+        printed = stdout.split("(log-domain, shown as errors): [")[1].split("]")[0]
+        shown_lo, shown_hi = (float(v) for v in printed.split(", "))
+        assert shown_lo <= geo <= shown_hi
+        assert "terminal mean squared error (arithmetic)" in stdout

@@ -9,6 +9,7 @@ from adasa.problems import (
     NetworkProblem,
     SaaMinimization,
     UtilityProblem,
+    _gaussian_max_affine,
     _index_weights,
     capacity_vector,
     network_gradient,
@@ -126,19 +127,25 @@ class TestUtilityProblem:
     def test_two_piece_crossover(self):
         problem = self._problem()
         # pieces 0 + 1*t and 0.5 + 0.5*t swap the max at t = 1
-        assert problem.piecewise_max(0.0) == 0.5
-        assert problem.piecewise_max(2.0) == 2.0
         v_h, s_h, knots = problem._envelope
+        assert v_h.tolist() == [0.5, 0.0] and s_h.tolist() == [0.5, 1.0]
         assert knots == pytest.approx([1.0])
 
     def test_integrand_convexity_on_random_segments(self):
+        # E[max_i(v_i + s_i U)] with U ~ N(t, sigma^2), the integrand's Gaussian
+        # expectation that the SAA objective evaluates, is convex in t
         problem = UtilityProblem.from_seed(6, eta=0.5, epsilon=0.5, seed=9)
         rng = np.random.default_rng(5)
         for _ in range(200):
             t1, t2 = rng.normal(0, 3, 2)
             lam = rng.uniform()
-            chord = lam * problem.piecewise_max(t1) + (1 - lam) * problem.piecewise_max(t2)
-            assert problem.piecewise_max(lam * t1 + (1 - lam) * t2) <= chord + 1e-12
+            sigma = rng.uniform(1e-3, 2.0)
+
+            def value(t):
+                return float(_gaussian_max_affine(t, sigma, *problem._envelope)[0][0])
+
+            chord = lam * value(t1) + (1 - lam) * value(t2)
+            assert value(lam * t1 + (1 - lam) * t2) <= chord + 1e-12
 
     def test_oracle_determinism(self):
         problem = UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=10)

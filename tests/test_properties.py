@@ -1,10 +1,10 @@
 """Property tests of the steplength schedules over random valid constants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adasa.bounds import BoundParams, csa_bound_trajectory
+from adasa.bounds import csa_bound_trajectory
 from adasa.steplength import (
     GAMMA_FLOOR,
     CsaParams,
@@ -51,6 +51,8 @@ def test_rsa_steps_follow_the_recursion(c, start, n):
 
 @SETTINGS
 @given(params=csa_params(), n=st.integers(1, 3000))
+# eta = L and gamma_init = 1/L give q = 0 in phase 1
+@example(params=CsaParams(1.0, 0.5, 1.0, 1.0, 1.0, 2.0), n=1)
 def test_csa_steps_drop_exactly_at_regime_starts(params, n):
     regimes = csa_schedule(params, n)
     steps = csa_steps(regimes, n)
@@ -86,10 +88,7 @@ def test_step_schedule_reads_in_order_and_flags_the_floor(gammas, data):
 @given(params=csa_params(), n=st.integers(1, 3000))
 def test_csa_bound_at_least_persistent_term(params, n):
     regimes = csa_schedule(params, n)
-    bp = BoundParams(
-        eta=params.eta, lip=params.lip, nu2=params.nu2, e0=params.d2, d2=params.d2
-    )
-    bound = csa_bound_trajectory(regimes, bp, n)
+    bound = csa_bound_trajectory(regimes, params, n)
     for regime in regimes:
         stop = min(regime.start + regime.length, n)
         assert np.all(bound[regime.start : stop] >= params.persistent(regime.gamma))

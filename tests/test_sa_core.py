@@ -14,7 +14,7 @@ from adasa.sa_core import (
     sa_step,
     saddle_step,
 )
-from adasa.steplength import StepSchedule, rsa_init, rsa_steps
+from adasa.steplength import StepSchedule, rsa_steps
 
 
 class FixedPolicy:
@@ -205,19 +205,18 @@ class TestBoundDomination:
         n, sigma, reps, n_iters = 4, 0.5, 50, 1500
         eta = lip = 1.0
         nu2 = sigma**2 * n
-        x0 = np.full(n, 0.5)  # ||x0 - x*||^2 = 1 <= e0_eff
+        x0 = np.full(n, 0.5)  # ||x0 - x*||^2 = 1 <= e0 = 2 nu2/(eta L) = 2
         proj = lambda v: np.clip(v, -1.0, 1.0)
 
         def oracle(x, rng):
             return x + sigma * rng.choice([-1.0, 1.0], size=n)
 
-        e0_eff = 2.0 * nu2 / (eta * lip)
+        # the recursion starts at eta*e0/(2 nu2) = 1/L
+        gamma0 = 1.0 / lip
         errors = []
         gammas = None
         for r in range(reps):
-            policy = StepSchedule(
-                rsa_steps(rsa_init(eta, nu2, e0_eff, lip), eta / 2.0, n_iters)
-            )
+            policy = StepSchedule(rsa_steps(gamma0, eta / 2.0, n_iters))
             traj = run_sa(oracle, proj, policy, x0, n_iters, np.zeros(n),
                           np.random.default_rng(500 + r))
             errors.append(traj.squared_errors)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from adasa.smoothing import (
-    BallDistribution,
     SmoothedOracle,
     ball_volume_coeff,
     double_factorial,
@@ -13,7 +12,6 @@ from adasa.smoothing import (
     sample_ball,
     sample_ball_batch,
     smoothed_subgradient,
-    smoothed_value_estimate,
     smoothing_lipschitz,
 )
 
@@ -47,13 +45,6 @@ class TestBallSampling:
         z = sample_ball_batch(m, n, eps, rng)
         sigma = eps / math.sqrt(n + 2)  # isotropic second moment of the ball
         assert np.all(np.abs(z.mean(axis=0)) <= 4.0 * sigma / math.sqrt(m))
-
-    def test_distribution_object(self):
-        dist = BallDistribution(n=3, epsilon=0.2)
-        rng = np.random.default_rng(4)
-        assert np.linalg.norm(dist.sample(rng)) <= 0.2
-        with pytest.raises(ValueError):
-            BallDistribution(n=0, epsilon=0.2)
 
 
 class TestVolumeCoefficients:
@@ -167,23 +158,3 @@ class TestSmoothedSubgradient:
             fd[i] = (up - dn) / (2.0 * h)
         assert np.linalg.norm(grad_est - fd) <= 4.0 * math.sqrt(n / m) + 2e-3
 
-
-class TestSmoothedValueEstimate:
-    def test_constant_function(self):
-        est, se = smoothed_value_estimate(lambda x, rng: 3.5, np.zeros(2), 50, 0.3,
-                                          np.random.default_rng(10))
-        assert est == 3.5
-        assert se == 0.0
-
-    def test_absolute_value_at_origin(self):
-        # smoothed |u| at 0 with eps=1 integrates to 1/2
-        rng = np.random.default_rng(11)
-        est, se = smoothed_value_estimate(
-            lambda x, rng: abs(float(x[0])), np.zeros(1), 40_000, 1.0, rng
-        )
-        assert abs(est - 0.5) <= 4.0 * se
-
-    def test_sample_count_validation(self):
-        with pytest.raises(ValueError):
-            smoothed_value_estimate(lambda x, rng: 0.0, np.zeros(1), 0, 1.0,
-                                    np.random.default_rng(0))

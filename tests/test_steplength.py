@@ -15,11 +15,10 @@ from adasa.steplength import (
     csa_schedule,
     csa_steps,
     hsa_steps,
-    rsa_init,
     rsa_next,
-    rsa_nonsmooth_init,
     rsa_steps,
 )
+from adasa.harness import ExperimentConfig, make_policy
 
 
 class TestHarmonic:
@@ -41,21 +40,28 @@ class TestHarmonic:
         assert gammas == [0.5, 0.5, 0.25, 0.5 / 3]
 
 
+def _rsa_gamma0(eta, nu2, e0, lip):
+    # make_policy's default RSA start: eta*e0/(2 nu2), clamped at 1/L
+    config = ExperimentConfig("network", "rsa", n=2, iters=1, eta=eta, epsilon=0.5)
+    return make_policy(config, {"eta": eta, "nu2": nu2, "e0": e0, "lip": lip}).next_gamma()
+
+
 class TestRsaInit:
     def test_direct_value(self):
-        assert rsa_init(0.5, 1.0, 1.0) == 0.25
+        assert _rsa_gamma0(0.5, 1.0, 1.0, lip=1.0) == 0.25
 
     def test_boundary_accepted(self):
         # eta*e0/(2 nu2) = 1/L exactly is still admissible
-        assert rsa_init(1.0, 1.0, 1.0, lip=2.0) == 0.5
+        assert _rsa_gamma0(1.0, 1.0, 1.0, lip=2.0) == 0.5
 
     def test_nonpositive_e0_rejected(self):
         with pytest.raises(ValueError):
-            rsa_init(1.0, 0.5, 0.0)
+            _rsa_gamma0(1.0, 0.5, 0.0, lip=2.0)
 
-    def test_violation_advises_smaller_e0(self):
-        with pytest.raises(ConfigurationError, match="e0"):
-            rsa_init(1.0, 1.0, 1.5, lip=2.0)
+    def test_violation_clamped_to_inverse_lipschitz(self):
+        # scaling e0 down by any beta < 1 keeps the sequence optimal, so a start
+        # above 1/L is lowered to 1/L
+        assert _rsa_gamma0(1.0, 1.0, 1.5, lip=2.0) == 0.5
 
 
 class TestRsaNext:
@@ -81,20 +87,11 @@ class TestRsaNext:
 
 
 class TestRsaNonsmoothInit:
-    def test_simplex_diameter_instance(self):
-        assert rsa_nonsmooth_init(1.0, math.sqrt(2.0), 4.0) == pytest.approx(
-            0.125, rel=1e-15
-        )
-
-    def test_half_boundary_rejected(self):
-        # eta*D^2/M^2 = 1/2 exactly is outside the admissible open interval
-        with pytest.raises(ConfigurationError):
-            rsa_nonsmooth_init(2.0, 1.0, 2.0)
-
     def test_policy_uses_eta_contraction(self):
-        # the bounded-subgradient variant contracts with c = eta
+        # the bounded-subgradient variant contracts with c = eta from
+        # gamma0 = eta*D^2/M^2, here with D = M = 1
         eta = 0.125
-        policy = StepSchedule(rsa_steps(rsa_nonsmooth_init(eta, 1.0, 1.0), eta, 2))
+        policy = StepSchedule(rsa_steps(0.125, eta, 2))
         first = policy.next_gamma()
         assert first == 0.125
         assert policy.next_gamma() == 0.125 * (1 - 0.125 * 0.125)
@@ -126,8 +123,8 @@ class TestGenericRecursionTail:
 
 class TestRsaMonotoneDecay:
     def test_million_steps_no_underflow(self):
-        # smooth instance: gamma0 = eta*e0/(2 nu2), c = eta/2
-        steps = rsa_steps(rsa_init(eta=0.5, nu2=1.0, e0=1.0, lip=2.0), 0.25, 1_000_000)
+        # smooth instance: gamma0 = eta*e0/(2 nu2) = 0.25 (eta=0.5, nu2=e0=1), c = eta/2
+        steps = rsa_steps(0.25, 0.25, 1_000_000)
         assert steps[0] == 0.25
         assert np.all(steps > 0.0)
         assert np.all(np.diff(steps) < 0.0)
