@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from adasa.harness import ExperimentConfig, make_policy
 from adasa.steplength import (
-    ConfigurationError,
     CsaParams,
     CsaState,
     GAMMA_FLOOR,
@@ -18,7 +18,6 @@ from adasa.steplength import (
     rsa_next,
     rsa_steps,
 )
-from adasa.harness import ExperimentConfig, make_policy
 
 
 class TestHarmonic:
