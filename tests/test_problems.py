@@ -61,6 +61,19 @@ class TestProjectCapacity:
         v = np.array([0.2, 0.3])
         assert np.allclose(project_capacity(v, a, c), v, atol=1e-9)
 
+    def test_feasible_input_returned_bitwise(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            n = rng.integers(1, 8)
+            links = rng.integers(1, 6)
+            a = (rng.uniform(size=(links, n)) < 0.5).astype(float)
+            a[a.sum(axis=1) == 0, rng.integers(n)] = 1.0
+            c = rng.uniform(0.1, 1.0, links)
+            u = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.8)
+            scale = (c / np.maximum(a @ u, 1e-300)).min()
+            v = u * min(1.0, scale) * rng.uniform(0.0, 0.999)
+            assert np.array_equal(project_capacity(v, a, c), v)
+
     def test_one_dimensional_clip(self):
         out = project_capacity(np.array([2.0]), np.array([[1.0]]), np.array([0.5]))
         assert out[0] == pytest.approx(0.5, abs=1e-10)
