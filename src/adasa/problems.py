@@ -16,15 +16,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.special import ndtr
 
 from .smoothing import sample_ball, sample_ball_batch
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class CapacityProjectionError(RuntimeError):
-    """Dykstra's algorithm failed to converge within the cycle cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -46,41 +43,33 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def project_capacity(
-    v: np.ndarray,
-    link_matrix: np.ndarray,
-    capacity: np.ndarray,
-    tol: float = 1e-10,
-    max_cycles: int = 100_000,
+    v: np.ndarray, link_matrix: np.ndarray, capacity: np.ndarray
 ) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, Ax <= C} via Dykstra's alternating
-    projections over the orthant and one halfspace per link."""
-    x = np.asarray(v, dtype=float).copy()
+    """Euclidean projection onto {x >= 0, Ax <= C}.
+
+    A feasible v comes back unchanged. Otherwise x = v + z for the shortest z
+    with Gz >= h, G = [I; -A], h = [-v; Av - C]: least-distance programming,
+    solved exactly by one NNLS call (Lawson & Hanson 1974, ch. 23). With w the
+    NNLS solution of min ||Ew - f||, w >= 0, E = [G^T; h^T], f = e_{n+1}, and
+    r = Ew - f, z = -r[:n]/r[n]; r = 0 means the constraints admit no point.
+    """
+    v = np.asarray(v, dtype=float)
     a_rows = np.asarray(link_matrix, dtype=float)
-    cap = np.asarray(capacity, dtype=float)
-    sqnorms = np.einsum("ij,ij->i", a_rows, a_rows)
-    if np.any(sqnorms == 0.0):
-        raise ValueError("link matrix has an empty row")
-    n_sets = 1 + a_rows.shape[0]
-    increments = [np.zeros_like(x) for _ in range(n_sets)]
-    # the orthant is projected last so the returned point is exactly
-    # nonnegative; any residual infeasibility lands on the halfspaces
-    for _ in range(max_cycles):
-        x_prev = x.copy()
-        for l in range(a_rows.shape[0]):
-            y = x + increments[l]
-            excess = a_rows[l] @ y - cap[l]
-            x = y - (max(excess, 0.0) / sqnorms[l]) * a_rows[l]
-            increments[l] = y - x
-        y = x + increments[-1]
-        x = np.maximum(y, 0.0)
-        increments[-1] = y - x
-        if np.max(np.abs(x - x_prev)) <= tol and np.max(a_rows @ x - cap) <= 1e-9:
-            return x
-    residual = float(np.max(np.maximum(a_rows @ x - cap, 0.0)))
-    residual = max(residual, float(np.max(np.maximum(-x, 0.0))))
-    raise CapacityProjectionError(
-        f"no convergence within {max_cycles} cycles; feasibility residual {residual:.3e}"
-    )
+    excess = a_rows @ v - np.asarray(capacity, dtype=float)
+    if np.all(v >= 0.0) and np.all(excess <= 0.0):
+        return v
+    n = v.size
+    e = np.vstack([np.hstack([np.eye(n), -a_rows.T]), np.concatenate([-v, excess])])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    w, _ = nnls(e, f)
+    r = e @ w - f
+    # ||r||^2 = -r[n] at the NNLS optimum, so the empty set's r = 0 shows as
+    # an r[n] within the rounding of h^T w - 1
+    if -r[n] <= w.size * np.finfo(float).eps * (np.abs(e[n]) @ w + 1.0):
+        raise ValueError("the capacity constraints admit no point")
+    # clip the rounding left on the orthant so the point is exactly nonnegative
+    return np.maximum(v - r[:n] / r[n], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +590,12 @@ class NetworkProblem:
         self.capacity = np.asarray(self.capacity, dtype=float)
         if self.link_matrix.shape != (self.capacity.size, self.n):
             raise ValueError("link matrix must be (links, users) matching capacity")
+        bad = np.flatnonzero(~(np.isfinite(self.capacity) & (self.capacity > 0.0)))
+        if bad.size:
+            raise ValueError(
+                f"link {bad[0]} has capacity {self.capacity[bad[0]]}; "
+                "capacities must be positive and finite"
+            )
         if np.any(self.link_matrix.sum(axis=1) < 1):
             raise ValueError("every link must carry at least one user")
         if np.any(self.link_matrix.sum(axis=0) < 1):
@@ -639,9 +634,9 @@ class NetworkProblem:
     def oracle(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return network_gradient(x, self.sample_k(rng), self.link_matrix)
 
-    def projection(self, tol: float = 1e-10) -> Callable[[np.ndarray], np.ndarray]:
+    def projection(self) -> Callable[[np.ndarray], np.ndarray]:
         a, cap = self.link_matrix, self.capacity
-        return lambda v: project_capacity(v, a, cap, tol=tol)
+        return lambda v: project_capacity(v, a, cap)
 
     def user_caps(self) -> np.ndarray:
         """Per-user upper bound min over crossed links of C_l."""
@@ -679,11 +674,9 @@ class NetworkProblem:
             return value, -k_bar / (1.0 + x) + 2.0 * gram @ x
 
         consts = self.constants()
-        # tighter projection than the SA runs use: the gradient-mapping stop
-        # cannot go below the projector's own accuracy floor
         return SaaMinimization(
             value_grad=value_grad,
-            proj=self.projection(tol=1e-13),
+            proj=self.projection(),
             x0=np.zeros(self.n),
             initial_step=1.0 / consts["lip"],
         )

@@ -65,17 +65,17 @@ GOLDEN = {
         "0.7399430159794996",
     ),
     ("network", "hsa"): (
-        "36ddbdbdb0ae1291206273d6c107e0674ac3c686c90d325c259c5a4fae0b791f",
-        "c3c033eb7e1507fa060b546ea54369d5bd56190eb1f449f88095d4492e2dad48",
-        "0.0001605856012877691",
+        "40eddb018e651a4eb52af8b83575d873ed3d8bf4fffa4af83b252a043cc61b4c",
+        "91cf8e6de5b5d3ed82a76d6313af6c709e7b67238e8f7361ebc3a17420b87999",
+        "0.00016058560128775598",
     ),
     ("network", "rsa"): (
-        "216979eddffff6cf0fb2ae28ec483c63fb962dd85bda861f8e8742b8c4b67f09",
+        "2b9c90227061277d70fa5d01d30c2fa1bba05f2b993ddba04b169c4e3ba38794",
         "a5bfa92531bb3ef1543f6e860df3a7db2dbbd0d5cbc150feeccaccc3ad8ed929",
         "0.0002147424385290324",
     ),
     ("network", "csa"): (
-        "fb15b7addd5dbcbf0ce0eeddb169883611ad01d62efa500652dd7dab2cc13088",
+        "be2dea06100a40275c78bcf44f2f70124723f28801e48306c8297c75cc960d99",
         "236d6ca8a86ec286de497cd5363a4c01b49fecda7c59f31a9207ca00bf3a6ad4",
         "0.00011719175670869848",
     ),

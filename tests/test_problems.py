@@ -5,7 +5,6 @@ import pytest
 
 from adasa.problems import (
     BimatrixProblem,
-    CapacityProjectionError,
     NetworkProblem,
     SaaMinimization,
     UtilityProblem,
@@ -102,18 +101,24 @@ class TestProjectCapacity:
         c = rng.uniform(0.2, 1.0, 4)
         for _ in range(40):
             v = rng.normal(0, 1, 5)
-            p = project_capacity(v, a, c, tol=1e-12)
+            p = project_capacity(v, a, c)
             for _ in range(10):
                 u = rng.uniform(0, 1, 5)
                 scale = (c / np.maximum(a @ u, 1e-12)).min()
                 q = u * min(1.0, scale) * rng.uniform()
                 assert (v - p) @ (q - p) <= 1e-7
 
-    def test_cycle_cap_failure_reports_residual(self):
-        a = np.array([[1.0, 1.0]])
-        c = np.array([0.5])
-        with pytest.raises(CapacityProjectionError, match="residual"):
-            project_capacity(np.array([5.0, 5.0]), a, c, max_cycles=1)
+    @pytest.mark.parametrize(
+        "v,a,c",
+        [
+            ([0.3], [[1.0]], [-1.0]),
+            ([-0.3, 2.0], [[1.0, 1.0]], [-1.0]),
+            ([1.0, 1.0], [[1.0, 0.0], [1.0, 1.0]], [0.5, -0.2]),
+        ],
+    )
+    def test_empty_set_rejected(self, v, a, c):
+        with pytest.raises(ValueError, match="admit no point"):
+            project_capacity(np.array(v), np.array(a), np.array(c))
 
 
 class TestUtilityProblem:
@@ -458,6 +463,11 @@ class TestNetworkProblem:
         assert np.allclose(capacity_vector("c2"), c3 / 0.75)
         with pytest.raises(ValueError):
             capacity_vector("c4")
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.inf, np.nan])
+    def test_nonpositive_or_nonfinite_capacity_names_the_link(self, bad):
+        with pytest.raises(ValueError, match="link 1 has capacity"):
+            NetworkProblem(n=2, link_matrix=[[1, 0], [0, 1]], capacity=[0.5, bad])
 
     def test_from_seed_connectivity(self):
         for seed in range(5):

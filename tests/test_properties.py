@@ -1,10 +1,14 @@
-"""Property tests of the steplength schedules over random valid constants."""
+"""Property tests of the steplength schedules over random valid constants, and
+of the capacity projection over random networks."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import nnls
 
 from adasa.bounds import csa_bound_trajectory
+from adasa.problems import project_capacity
 from adasa.steplength import (
     GAMMA_FLOOR,
     CsaParams,
@@ -92,3 +96,52 @@ def test_csa_bound_at_least_persistent_term(params, n):
     for regime in regimes:
         stop = min(regime.start + regime.length, n)
         assert np.all(bound[regime.start : stop] >= params.persistent(regime.gamma))
+
+
+@st.composite
+def capacity_instances(draw):
+    """A random 0/1 link matrix with no empty rows, C in (0.1, 1), v ~ N(0, 1)."""
+    n = draw(st.integers(1, 8))
+    links = draw(st.integers(1, 6))
+    a = draw(hnp.arrays(bool, (links, n))).astype(float)
+    for l in np.flatnonzero(a.sum(axis=1) == 0):
+        a[l, draw(st.integers(0, n - 1))] = 1.0
+    c = draw(
+        hnp.arrays(
+            float, links, elements=st.floats(0.1, 1.0, exclude_min=True, exclude_max=True)
+        )
+    )
+    v = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    return v, a, c
+
+
+def kkt_residual(v, x, a, c):
+    """Stationarity, dual sign and complementarity of x as the projection of v.
+
+    The multipliers of the constraints active at x are recovered by NNLS from
+    v - x = A^T lam - mu; inactive constraints get zero multipliers.
+    """
+    slack = c - a @ x
+    links, users = slack <= 1e-12, x <= 1e-12
+    normals = np.hstack([a[links].T, -np.eye(x.size)[:, users]])
+    if normals.shape[1] == 0:  # nothing active: x must be v itself
+        return float(np.linalg.norm(v - x))
+    mult, stationarity = nnls(normals, v - x)
+    lam, mu = mult[: links.sum()], mult[links.sum() :]
+    return max(
+        stationarity,
+        float(-mult.min(initial=0.0)),
+        float(np.abs(lam * slack[links]).max(initial=0.0)),
+        float(np.abs(mu * x[users]).max(initial=0.0)),
+    )
+
+
+@SETTINGS
+@given(instance=capacity_instances())
+def test_capacity_projection_is_feasible_idempotent_and_kkt(instance):
+    v, a, c = instance
+    x = project_capacity(v, a, c)
+    assert np.all(x >= 0.0)
+    assert np.all(a @ x - c <= 1e-12)
+    assert np.max(np.abs(project_capacity(x, a, c) - x)) <= 1e-12
+    assert kkt_residual(v, x, a, c) <= 1e-10
