@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import bounds as bounds_mod
 from .problems import (
@@ -26,7 +26,12 @@ from .problems import (
     saa_reference,
 )
 from .sa_core import Trajectory, run_sa, run_saddle_sa
-from .smoothing import SmoothedOracle, smoothed_subgradient, smoothing_lipschitz
+from .smoothing import (
+    SmoothedOracle,
+    smoothed_subgradient,
+    smoothing_lipschitz,
+    truncate_rows,
+)
 from .steplength import (
     CsaParams,
     StepSchedule,
@@ -41,6 +46,7 @@ SCHEMES = ("hsa", "rsa", "csa")
 
 # independent streams for problem generation, pilot estimation, and reference
 _TAG_PROBLEM, _TAG_PILOT, _TAG_REFERENCE = 101, 102, 103
+_PILOT_SIZE = 10_000  # oracle samples behind each pilot estimate
 
 LOG_FLOOR = 1e-300  # squared errors can be exactly zero (vertex solutions)
 
@@ -117,7 +123,7 @@ def log_t_interval(
         nan = np.full(center.shape, math.nan)
         return center, nan, nan
     half = (
-        stats.t.ppf(0.5 * (1.0 + level), reps - 1)
+        stdtrit(reps - 1, 0.5 * (1.0 + level))
         * logs.std(axis=0, ddof=1)
         / math.sqrt(reps)
     )
@@ -157,7 +163,10 @@ def _setup_utility(config: ExperimentConfig) -> RunSetup:
     # the level the reported experiments start from
     x0 = np.zeros(config.n)
     x0[-1] = 1.0
-    nu2 = _pilot_noise_bound(lambda rng: oracle(x0, rng), pilot_rng)
+    pilot = truncate_rows(
+        problem.subgradient_samples(x0, _PILOT_SIZE, pilot_rng), subgrad_bound
+    )
+    nu2 = _pilot_noise_bound(pilot)
     lip = smoothing_lipschitz(config.n, subgrad_bound, config.epsilon) + config.eta
     constants = {
         "C": subgrad_bound,
@@ -175,16 +184,10 @@ def _setup_bimatrix(config: ExperimentConfig) -> RunSetup:
     oracle = problem.run_oracle()
     pilot_rng = np.random.default_rng([config.seed, _TAG_PILOT])
     x0 = np.full(config.n, 1.0 / config.n)
-    nu2 = _pilot_noise_bound(
-        lambda rng: np.concatenate(oracle(x0, x0, rng)), pilot_rng
-    )
-    norms = [
-        float(np.linalg.norm(np.concatenate(oracle(x0, x0, pilot_rng))))
-        for _ in range(2_000)
-    ]
+    pilot = problem.oracle_samples(x0, x0, _PILOT_SIZE, pilot_rng)
     constants = {
-        "C": float(np.percentile(norms, 99.9) * 1.25),
-        "nu2": nu2,
+        "C": float(np.percentile(np.linalg.norm(pilot, axis=1), 99.9) * 1.25),
+        "nu2": _pilot_noise_bound(pilot),
         "lip": problem.lipschitz(),
         "eta": config.eta,
         "d2": problem.diameter_squared(),
@@ -224,13 +227,9 @@ def _setup_network(config: ExperimentConfig) -> RunSetup:
     )
 
 
-def _pilot_noise_bound(
-    sampler: Callable[[np.random.Generator], np.ndarray],
-    rng: np.random.Generator,
-    pilot_size: int = 10_000,
-    inflation: float = 1.5,
-) -> float:
-    draws = np.stack([sampler(rng) for _ in range(pilot_size)])
+def _pilot_noise_bound(draws: np.ndarray, inflation: float = 1.5) -> float:
+    """Inflated mean squared deviation of oracle samples, one per row, from
+    their mean: the pilot estimate of nu^2."""
     center = draws.mean(axis=0)
     return float(((draws - center) ** 2).sum(axis=1).mean() * inflation)
 

@@ -208,10 +208,12 @@ def _solve_saddle_extragradient(
         fxm, fym = saa.operator(xm, ym)
         x = saa.proj_x(x - gamma * fxm)
         y = saa.proj_y(y - gamma * fym)
+    else:
+        it = max_iter
     warnings.warn(
         f"extragradient stopped at residual {best[2]:.3e}; returning best iterate"
     )
-    return Reference(np.concatenate([best[0], best[1]]), best[2], False, max_iter)
+    return Reference(np.concatenate([best[0], best[1]]), best[2], False, it)
 
 
 def saa_reference(
@@ -373,12 +375,22 @@ class UtilityProblem:
         truncates at this estimate, taken at the barycenter.
         """
         center = np.full(self.n, 1.0 / self.n)
-        # in place, so only two pilot_size x n arrays are live at once; each
-        # operation keeps its operands, so the bound is bitwise that of the
-        # out-of-place formula the tests keep
-        coeff = rng.standard_normal((pilot_size, self.n))
-        points = sample_ball_batch(pilot_size, self.n, self.epsilon, rng)
-        points += center
+        norms = np.linalg.norm(self.subgradient_samples(center, pilot_size, rng), axis=1)
+        return float(np.percentile(norms, percentile) * inflation)
+
+    def subgradient_samples(
+        self, x: np.ndarray, m: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """m samples of the inner oracle at ball-perturbed copies of x, one per
+        row: the xi block, then the ball block, drawn at once.
+
+        In place, so only two m x n arrays are live at once; each operation
+        keeps its operands, so the rows are bitwise those of the out-of-place
+        formula the tests keep.
+        """
+        coeff = rng.standard_normal((m, self.n))
+        points = sample_ball_batch(m, self.n, self.epsilon, rng)
+        points += x
         coeff += self.coeff_base
         t = np.einsum("ij,ij->i", coeff, points)
         active = np.argmax(
@@ -386,9 +398,8 @@ class UtilityProblem:
         )
         coeff *= self.slopes[active][:, None]
         points *= self.eta
-        coeff += points  # the subgradient samples
-        norms = np.linalg.norm(coeff, axis=1)
-        return float(np.percentile(norms, percentile) * inflation)
+        coeff += points
+        return coeff
 
     def build_saa(self, sample_size: int, rng: np.random.Generator) -> SaaMinimization:
         """Deterministic objective: the Gaussian expectation is exact (closed form
@@ -451,6 +462,19 @@ def _draw_index(u: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(np.cumsum(w), rng.uniform(), side="right").clip(0, u.size - 1))
 
 
+def _draw_indices(u: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """_draw_index on each row of u, row i driven by uniforms[i]: the same
+    weights, cumulative sums and comparisons, so the same indices. On a single
+    row it is about twice as slow as _draw_index, which the SA loop keeps."""
+    shift = np.minimum(u.min(axis=1, keepdims=True), 0.0)
+    w = u - shift
+    total = w.sum(axis=1, keepdims=True)
+    flat = total <= 1e-300
+    w = np.where(flat, 1.0 / u.shape[1], w / np.where(flat, 1.0, total))
+    below = np.cumsum(w, axis=1) <= uniforms[:, None]
+    return np.minimum(np.count_nonzero(below, axis=1), u.shape[1] - 1)
+
+
 @dataclass
 class BimatrixProblem:
     """Regularized bilinear game min_x max_y y^T A x on a pair of simplices,
@@ -503,6 +527,20 @@ class BimatrixProblem:
             return gx, gy
 
         return oracle
+
+    def oracle_samples(
+        self, x: np.ndarray, y: np.ndarray, m: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """m run-oracle samples at (x, y), one row [gx, gy] each, from block
+        draws: the 2n-ball rows, then a uniform pair per row (y's index, x's)."""
+        n, eta, a = self.n, self.eta, self.matrix
+        zeta = sample_ball_batch(m, 2 * n, self.epsilon, rng)
+        uniforms = rng.uniform(size=(m, 2))
+        xh = x + zeta[:, :n]
+        yh = y + zeta[:, n:]
+        l_col = _draw_indices(yh, uniforms[:, 0])
+        l_row = _draw_indices(xh, uniforms[:, 1])
+        return np.hstack([a.T[l_col] + eta * xh, a[l_row] - eta * yh])
 
     def lipschitz(self) -> float:
         """Exact gradient Lipschitz constant ||A||_2 + eta.

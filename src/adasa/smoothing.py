@@ -145,3 +145,11 @@ def smoothed_subgradient(
             g = g * (oracle.subgrad_bound / norm)
     return g
 
+
+def truncate_rows(g: np.ndarray, bound: float) -> np.ndarray:
+    """smoothed_subgradient's truncation applied to each row of g, in place:
+    rows with norm above bound are rescaled onto the ball of that radius."""
+    norms = np.linalg.norm(g, axis=1)
+    over = norms > bound
+    g[over] *= (bound / norms[over])[:, None]
+    return g

@@ -36,33 +36,33 @@ SIZE = {"replications": 3, "iters": 300, "seed": 0}
 GOLDEN = {
     ("utility", "hsa"): (
         "f18734e2b99c375e99e834128e88c7371f534daef843de11847363d4e433d48a",
-        "5bfe07927e5e686ecf592f3685691d0d89140b5d79233d23f5164830d1d6b930",
+        "f4862e9a3dd89109908c5f880440a8ff78df4886e25bc381f5b12aa5d240bf50",
         "0.010118532914617466",
     ),
     ("utility", "rsa"): (
-        "b0b2adf7e1432c1138e7ac3702aa1811a49550c40380a6baf36ab091ad02eb85",
-        "e5ee41fdb69c8018dc8ed9ddf3f637683c5edc90bbff95c9b90a2b86f31430c8",
+        "40d79523c84e28417c0bc0470da1ed0cb7de500a15e8d477d22d39c8d0437ab7",
+        "9eea26109ba305124b257edcf2a1529f68a00a87047857f6a5f12dcb615ada15",
         "0.012178205788180123",
     ),
     ("utility", "csa"): (
-        "2a49305709c5e166764fea618df60ae3952ded460918d20e46772aba119760b5",
-        "0edd86d709856f3e99b4145f13dc0e2cece3396a0e22110bb5794d6dbef79a42",
-        "0.012557151812413079",
+        "0036b4880622caaf52f97f8e5c85f4371642f51b8fce051b0bb5d35b56bc81cc",
+        "e784f11d3ce5dcaa5cb52c50fc31cbf123b732aea52bf2b93724db4ab9e2419a",
+        "0.012434071388914378",
     ),
     ("bimatrix", "hsa"): (
         "408213ce992fb00c152539541f720755439879c76c57cd52b436576028b99237",
-        "ddb918a8a9d8fdad894878c3674a532943dad11ebca7db4273cdf812ae95fd38",
+        "2a084de4014adf20bb76a14b8e9e753213afffeb36bfe7372af8138b4ac05aef",
         "0.7414987291663113",
     ),
     ("bimatrix", "rsa"): (
-        "e4a20b08318e2d216166f705057f11c131f8d44ab4ffe2f668a9dd0a0c764b73",
-        "13387eb54ba37556a89be2b76829e8038514afc5c236bea8b51bf9cd642861eb",
-        "0.9461175368215019",
+        "d522a566b912bf7ae60a52c91108eee49196b0b51710b2d114edc13843834678",
+        "76df14ba7645d35f552bcf2ab361134307fe4c02052de9bce5aded1ae810daa0",
+        "0.9465898200845727",
     ),
     ("bimatrix", "csa"): (
-        "23f07240fa2beecbf3d27314b83e12dfc6ef42fbfd367ae1834c9fa424555fb4",
-        "b79e969ab1d34dfb62d4624b88e22134905cc1274a9532ec439869424876858f",
-        "0.7399430159794996",
+        "ad2b0e1ee9a934429ba25ac70f5bcf9eab408ec639a6b2b5890c6d790796de5e",
+        "69970b67c6670831ca57e46363e52698b1687aaa00c8de9ae79b46e44e2335b5",
+        "0.7426930642388286",
     ),
     ("network", "hsa"): (
         "40eddb018e651a4eb52af8b83575d873ed3d8bf4fffa4af83b252a043cc61b4c",

@@ -1,9 +1,18 @@
-"""The package's module-level import graph has no cycles."""
+"""The package's module-level import graph has no cycles, and importing the
+CLI stays light."""
 
 import ast
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import scipy.stats
+
 import adasa
+from adasa.harness import log_t_interval
 
 PACKAGE = Path(adasa.__file__).resolve().parent
 
@@ -92,3 +101,27 @@ def test_cycle_finder_sees_a_cycle_and_skips_type_checking_blocks():
     )
     found = set(_module_level_imports(tree.body, {"v", "w", "x", "y", "z"}))
     assert found == {"v", "x", "y"}
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(PACKAGE.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, adasa.cli; print('scipy.stats' in sys.modules)"],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout.strip()
+    assert loaded == "False"
+
+
+def test_log_t_interval_matches_scipy_stats_quantile_bitwise():
+    rng = np.random.default_rng(5)
+    for df in range(1, 201):
+        errors = rng.lognormal(0.0, 1.0, size=(df + 1, 3))
+        center, lo, hi = log_t_interval(errors, level=0.90)
+        logs = np.log(errors)
+        half = scipy.stats.t.ppf(0.95, df) * logs.std(axis=0, ddof=1) / math.sqrt(df + 1)
+        assert np.array_equal(lo, center - half) and np.array_equal(hi, center + half)

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from adasa import problems as problems_mod
+from adasa import smoothing
 from adasa.problems import (
     BimatrixProblem,
     NetworkProblem,
     SaaMinimization,
     UtilityProblem,
+    _draw_index,
+    _draw_indices,
     _gaussian_max_affine,
     _index_weights,
+    _solve_saddle_extragradient,
     capacity_vector,
     network_gradient,
     network_value,
@@ -433,6 +438,95 @@ class TestBimatrixProblem:
             assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
+class _ReplayRng:
+    """Generator stand-in that hands out prepared draws: the whole block when a
+    call asks for a 2-d block, otherwise the next row of normals or the next
+    uniform (uniforms are read row by row)."""
+
+    def __init__(self, normals=None, uniforms=None):
+        self.normals, self.uniforms = normals, uniforms
+        self._rows = iter(normals if normals is not None else ())
+        self._scalars = iter(uniforms.ravel() if uniforms is not None else ())
+
+    def standard_normal(self, size):
+        if isinstance(size, tuple):
+            assert size == self.normals.shape
+            return self.normals.copy()
+        return next(self._rows).copy()
+
+    def uniform(self, size=None):
+        if size is None:
+            return float(next(self._scalars))
+        assert size == self.uniforms.shape
+        return self.uniforms.copy()
+
+
+def _replay_ball(monkeypatch, module, z):
+    """Make module.sample_ball return the rows of z in turn and
+    module.sample_ball_batch return z itself."""
+    rows = iter(z)
+    monkeypatch.setattr(module, "sample_ball", lambda n, eps, rng: next(rows).copy())
+    monkeypatch.setattr(module, "sample_ball_batch", lambda m, n, eps, rng: z.copy())
+
+
+class TestBatchedDraws:
+    def test_row_index_draw_matches_draw_index(self):
+        rng = np.random.default_rng(21)
+        n = 7
+        rows = [rng.dirichlet(np.ones(n)) for _ in range(200)]
+        rows += [rng.normal(0.0, 1.0, n) for _ in range(200)]  # negative entries
+        rows += [np.zeros(n), np.full(n, -0.5)]  # shifted weights sum to 0
+        u = np.array(rows)
+        uniforms = rng.uniform(size=len(rows))
+        # uniforms sitting exactly on a cumulative weight exercise the ties
+        for i in range(0, len(rows), 9):
+            uniforms[i] = np.cumsum(_index_weights(u[i]))[i % n]
+        replay = _ReplayRng(uniforms=uniforms)
+        want = [_draw_index(row, replay) for row in u]
+        got = _draw_indices(u, uniforms)
+        assert got.tolist() == want
+        assert got[-2:].tolist() == [int(uniforms[-2] * n), int(uniforms[-1] * n)]
+
+    def test_bimatrix_oracle_samples_equal_run_oracle_bitwise(self, monkeypatch):
+        problem = BimatrixProblem(n=20, eta=0.01, epsilon=0.2)
+        rng = np.random.default_rng(22)
+        m = 500
+        z = smoothing.sample_ball_batch(m, 40, problem.epsilon, rng)
+        uniforms = rng.uniform(size=(m, 2))
+        x = np.full(20, 1.0 / 20)
+        y = rng.dirichlet(np.ones(20))
+        _replay_ball(monkeypatch, problems_mod, z)
+        oracle = problem.run_oracle()
+        replay = _ReplayRng(uniforms=uniforms)
+        want = np.array([np.concatenate(oracle(x, y, replay)) for _ in range(m)])
+        got = problem.oracle_samples(x, y, m, _ReplayRng(uniforms=uniforms))
+        assert np.array_equal(got, want)
+
+    def test_utility_pilot_rows_equal_smoothed_oracle(self, monkeypatch):
+        problem = UtilityProblem.from_seed(20, eta=0.5, epsilon=0.5, seed=4)
+        rng = np.random.default_rng(23)
+        m = 500
+        z = smoothing.sample_ball_batch(m, 20, problem.epsilon, rng)
+        xi = rng.standard_normal((m, 20))
+        x0 = np.zeros(20)
+        x0[-1] = 1.0
+        _replay_ball(monkeypatch, smoothing, z)
+        _replay_ball(monkeypatch, problems_mod, z)
+        rows = problem.subgradient_samples(x0, m, _ReplayRng(normals=xi))
+        cap = float(np.median(np.linalg.norm(rows, axis=1)))  # truncate half
+        got = smoothing.truncate_rows(rows, cap)
+        oracle = smoothing.SmoothedOracle(
+            inner=problem.oracle, n=20, epsilon=problem.epsilon, subgrad_bound=cap
+        )
+        replay = _ReplayRng(normals=xi)
+        want = np.array(
+            [smoothing.smoothed_subgradient(oracle, x0, replay) for _ in range(m)]
+        )
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        capped = np.linalg.norm(want, axis=1) >= cap * (1.0 - 1e-12)
+        assert 0 < capped.sum() < m
+
+
 class TestNetworkProblem:
     def test_gradient_at_origin(self):
         a = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -566,6 +660,27 @@ class TestSaaReference:
         residual = np.linalg.norm(p - saa.proj(p - saa.value_grad(p)[1]))
         assert residual == pytest.approx(ref.grad_map_norm, rel=1e-9)
         assert residual > 1e-8
+
+    def test_saddle_stall_reports_iterations_run(self):
+        # at tolerance 0 the residual stalls at rounding level long before
+        # the budget; each step evaluates the operator twice, and the step
+        # that detects the stall once more
+        problem = BimatrixProblem(n=5, eta=0.5, epsilon=0.2)
+        saa = problem.build_saa(1000, np.random.default_rng(0))
+        calls = 0
+        operator = saa.operator
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return operator(x, y)
+
+        saa.operator = counted
+        with pytest.warns(UserWarning, match="returning best iterate"):
+            ref = _solve_saddle_extragradient(saa, 0.0, 200_000, stall_window=200)
+        assert not ref.converged
+        assert ref.iterations < 200_000
+        assert calls == 2 * ref.iterations + 1
 
     def test_bimatrix_unregularized_limit(self):
         # as eta -> 0 the saddle point approaches (e_1, e_n)
