@@ -32,7 +32,6 @@ from .problems import (
     saa_reference,
 )
 from .sa_core import (
-    SaddlePoint,
     Trajectory,
     run_sa,
     run_saddle_sa,

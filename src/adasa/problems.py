@@ -28,18 +28,27 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # projections
 
 
+# ranks 1..256 as floats; each is exact, so css / ranks equals css / (int ranks)
+_RANKS = np.arange(1.0, 257.0)
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} by sort and threshold."""
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("cannot project a vector with non-finite entries")
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    active = u - css / idx > 0
-    rho = idx[active][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
+    css = u.cumsum() - 1.0
+    n = v.size
+    ranks = _RANKS[:n] if n <= _RANKS.size else np.arange(1.0, n + 1.0)
+    active = (u - css / ranks > 0).nonzero()[0]
+    if not active.size:
+        # u[0] - (u[0] - 1) rounds to 0 once u[0] >= 2^53. The projection is
+        # invariant to a shift, and entries 1 or more below the maximum
+        # project to 0, so the shifted and clipped copy projects the same.
+        return project_simplex(np.maximum(v - u[0], -1.0))
+    rho = active[-1] + 1
+    return np.maximum(v - css[rho - 1] / rho, 0.0)
 
 
 def project_capacity(
@@ -56,7 +65,7 @@ def project_capacity(
     v = np.asarray(v, dtype=float)
     a_rows = np.asarray(link_matrix, dtype=float)
     excess = a_rows @ v - np.asarray(capacity, dtype=float)
-    if np.all(v >= 0.0) and np.all(excess <= 0.0):
+    if v.min() >= 0.0 and excess.max() <= 0.0:
         return v
     n = v.size
     e = np.vstack([np.hstack([np.eye(n), -a_rows.T]), np.concatenate([-v, excess])])
@@ -459,7 +468,7 @@ def _draw_index(u: np.ndarray, rng: np.random.Generator) -> int:
     """Index q with probability (u_q - min(0, u)) / sum_j (u_j - min(0, u)),
     driven by a single uniform variate."""
     w = _index_weights(u)
-    return int(np.searchsorted(np.cumsum(w), rng.uniform(), side="right").clip(0, u.size - 1))
+    return min(int(w.cumsum().searchsorted(rng.uniform(), "right")), u.size - 1)
 
 
 def _draw_indices(u: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -584,7 +593,7 @@ def network_gradient(
     """Gradient of -sum_i k_i log(1+x_i) + ||Ax||^2 at x (exact per sample)."""
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
-    if np.any(x <= -1.0):
+    if x.min() <= -1.0:
         raise ValueError("log(1+x) undefined: some component is <= -1")
     a = np.asarray(link_matrix, dtype=float)
     return -k / (1.0 + x) + 2.0 * a.T @ (a @ x)
@@ -592,7 +601,7 @@ def network_gradient(
 
 def network_value(x: np.ndarray, k: np.ndarray, link_matrix: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
-    if np.any(x <= -1.0):
+    if x.min() <= -1.0:
         raise ValueError("log(1+x) undefined: some component is <= -1")
     ax = np.asarray(link_matrix, dtype=float) @ x
     return float(-(k * np.log1p(x)).sum() + ax @ ax)

@@ -31,38 +31,24 @@ class Trajectory:
     clamped: bool = False
 
 
-@dataclass
-class SaddlePoint:
-    """Feasible primal/dual pair, each living on its own simplex."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y])
-
-
-def _check_finite(name: str, v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-
-
 def sa_step(
     x: np.ndarray,
     g: np.ndarray,
     gamma: float,
     proj: Projection | None,
 ) -> np.ndarray:
-    """One projected gradient step proj(x - gamma*g)."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    _check_finite("iterate", x)
-    _check_finite("gradient sample", g)
-    if not math.isfinite(gamma) or gamma <= 0:
+    """One projected gradient step proj(x - gamma*g).
+
+    A non-finite x or g makes the step non-finite, so one check on the step
+    rejects both.
+    """
+    if not 0.0 < gamma < math.inf:
         raise ValueError(f"steplength must be positive and finite, got {gamma}")
     if x.shape != g.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
     candidate = x - gamma * g
+    if not np.isfinite(candidate).all():
+        raise ValueError("step x - gamma*g has non-finite entries")
     return candidate if proj is None else proj(candidate)
 
 
@@ -89,7 +75,8 @@ def run_sa(
         raise ValueError(
             f"reference shape {reference.shape} does not match x0 {x.shape}"
         )
-    _check_finite("x0", x)
+    if not np.isfinite(x).all():
+        raise ValueError("x0 contains non-finite entries")
     gammas = np.empty(n_iters)
     errors = np.empty(n_iters)
     for k in range(n_iters):
@@ -108,30 +95,28 @@ def run_sa(
 
 
 def saddle_step(
-    state: SaddlePoint,
+    x: np.ndarray,
+    y: np.ndarray,
     gx: np.ndarray,
     gy: np.ndarray,
     gamma: float,
-) -> SaddlePoint:
+) -> tuple[np.ndarray, np.ndarray]:
     """Projected descent step in x and ascent step in y, both onto simplices.
 
     gx must be the sampled x-gradient and gy the sampled ascent direction for y
     (the y-part of the saddle operator already sign-flipped by the caller).
+    The simplex projection rejects a non-finite step.
     """
-    gx = np.asarray(gx, dtype=float)
-    gy = np.asarray(gy, dtype=float)
-    if gx.shape != state.x.shape or gy.shape != state.y.shape:
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"steplength must be positive and finite, got {gamma}")
+    if gx.shape != x.shape or gy.shape != y.shape:
         raise ValueError(
             f"gradient shapes {gx.shape}/{gy.shape} do not match state "
-            f"{state.x.shape}/{state.y.shape}"
+            f"{x.shape}/{y.shape}"
         )
-    _check_finite("gx", gx)
-    _check_finite("gy", gy)
-    if not math.isfinite(gamma) or gamma <= 0:
-        raise ValueError(f"steplength must be positive and finite, got {gamma}")
-    return SaddlePoint(
-        x=problems.project_simplex(state.x - gamma * gx),
-        y=problems.project_simplex(state.y + gamma * gy),
+    return (
+        problems.project_simplex(x - gamma * gx),
+        problems.project_simplex(y + gamma * gy),
     )
 
 
@@ -150,27 +135,30 @@ def run_saddle_sa(
     """Saddle-point analogue of run_sa on the stacked pair z = (x, y).
 
     The oracle returns (gx, gy) with gy in ascent convention; errors are
-    ||z_k - reference||^2 against the stacked regularized reference.
+    ||z_k - reference||^2 against the stacked regularized reference. x and y
+    are views into z, overwritten by every step.
     """
     if n_iters < 1:
         raise ValueError(f"iteration budget must be >= 1, got {n_iters}")
-    state = SaddlePoint(x=np.array(x0, dtype=float), y=np.array(y0, dtype=float))
+    n = np.size(x0)
+    z = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
+    x, y = z[:n], z[n:]
     reference = np.asarray(reference, dtype=float)
-    if reference.size != state.x.size + state.y.size:
+    if reference.size != z.size:
         raise ValueError("reference must stack the x and y components")
     gammas = np.empty(n_iters)
     errors = np.empty(n_iters)
     for k in range(n_iters):
         gammas[k] = gamma = policy.next_gamma()
-        diff = state.stacked() - reference
+        diff = z - reference
         errors[k] = diff @ diff
-        gx, gy = oracle(state.x, state.y, rng)
-        state = saddle_step(state, gx, gy, gamma)
-    diff = state.stacked() - reference
+        gx, gy = oracle(x, y, rng)
+        x[...], y[...] = saddle_step(x, y, gx, gy, gamma)
+    diff = z - reference
     return Trajectory(
         gammas=gammas,
         squared_errors=errors,
         terminal_squared_error=float(diff @ diff),
-        final_point=state.stacked(),
+        final_point=z,
         clamped=bool(getattr(policy, "clamped", False)),
     )

@@ -34,10 +34,11 @@ def sample_ball(n: int, epsilon: float, rng: np.random.Generator) -> np.ndarray:
     if epsilon <= 0:
         raise ValueError(f"radius must be positive, got {epsilon}")
     direction = rng.standard_normal(n)
-    norm = np.linalg.norm(direction)
+    # np.linalg.norm of a contiguous float vector is sqrt(x @ x), bit for bit
+    norm = math.sqrt(direction @ direction)
     while norm == 0.0:  # probability zero, but keep the draw well defined
         direction = rng.standard_normal(n)
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction @ direction)
     radius = epsilon * rng.uniform() ** (1.0 / n)
     return (radius / norm) * direction
 
@@ -138,9 +139,10 @@ def smoothed_subgradient(
     to the truncation tail.
     """
     z = oracle.perturbation(rng)
-    g = np.asarray(oracle.inner(x + z, rng), dtype=float)
+    # contiguous, so that sqrt(g @ g) is np.linalg.norm(g) bit for bit
+    g = np.ascontiguousarray(oracle.inner(x + z, rng), dtype=float)
     if oracle.subgrad_bound is not None:
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g @ g)
         if norm > oracle.subgrad_bound:
             g = g * (oracle.subgrad_bound / norm)
     return g

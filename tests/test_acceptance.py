@@ -20,7 +20,6 @@ from adasa.problems import (
     network_value,
     saa_reference,
 )
-from adasa.sa_core import SaddlePoint
 from adasa.smoothing import (
     ball_volume_coeff,
     double_factorial,
@@ -231,10 +230,9 @@ def test_criterion_08_zero_mean_sampled_gradient():
     for _ in range(10):
         x = rng.dirichlet(np.ones(20))
         y = rng.dirichlet(np.ones(20))
-        state = SaddlePoint(x=x, y=y)
         draws = np.empty((m, 40))
         for i in range(m):
-            gx, gy = problem.sampled_gradient(state.x, state.y, rng)
+            gx, gy = problem.sampled_gradient(x, y, rng)
             draws[i, :20] = gx
             draws[i, 20:] = gy
         exact = np.concatenate(problem.exact_gradient(x, y))

@@ -6,9 +6,11 @@ import pytest
 import scipy.stats
 
 import adasa.cli
+from adasa import harness, problems, sa_core, smoothing
 from adasa.cli import main as cli_main
 from adasa.harness import (
     LOG_FLOOR,
+    build_setup,
     ConfidenceInterval,
     ExperimentConfig,
     ExperimentResult,
@@ -212,8 +214,6 @@ class TestRunReplications:
         assert "rng" in meta
 
     def test_replication_failure_reports_seed(self):
-        from adasa.harness import build_setup
-
         config = resolve_config("bimatrix", "rsa", n=4, iters=10, replications=2,
                                 seed=13)
         setup = build_setup(config)
@@ -225,6 +225,93 @@ class TestRunReplications:
         with pytest.raises(RuntimeError, match="seed 13"):
             run_replications(config, setup=setup)
 
+
+    @pytest.mark.parametrize("kind", ["min", "saddle"])
+    def test_failure_in_a_later_replication_names_it(self, kind):
+        problem = "network" if kind == "min" else "bimatrix"
+        config = resolve_config(problem, "rsa", n=4, iters=10, replications=3,
+                                seed=13)
+        setup = build_setup(config)
+        inner, calls = setup.oracle, []
+
+        def poisoned(*args):
+            # the fourth step of replication 1 sees a NaN gradient sample
+            calls.append(None)
+            out = inner(*args)
+            if len(calls) != config.iters + 4:
+                return out
+            return (out[0] * math.nan, out[1]) if kind == "saddle" else out * math.nan
+
+        setup.oracle = poisoned
+        reference = _fixed_reference(setup)
+        with pytest.raises(RuntimeError, match=r"replication 1 \(seed 14\)") as info:
+            run_replications(config, reference=reference, setup=setup)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "non-finite" in str(info.value)
+        assert len(calls) == config.iters + 4
+
+
+def _fixed_reference(setup):
+    """A feasible stand-in reference, so a test skips the reference solve."""
+    size = setup.x0.size * (2 if setup.kind == "saddle" else 1)
+    point = np.full(size, 1.0 / setup.x0.size)
+    return Reference(point=point, grad_map_norm=0.0, converged=True, iterations=0)
+
+
+class TestLayerHooks:
+    """The benchmark's tracer times the step, the steplength, the simplex
+    projection and the ball draw by replacing these module attributes, so the
+    engine must look each one up at call time, once per iteration (twice for
+    the saddle projections). Inlining one would silently zero its layer."""
+
+    @pytest.mark.parametrize(
+        "problem,balls,projections",
+        [("utility", 1, 0), ("network", 0, 0), ("bimatrix", 1, 2)],
+    )
+    def test_engine_calls_each_hook_per_iteration(
+        self, monkeypatch, problem, balls, projections
+    ):
+        counts = {}
+
+        def counting(module, attr):
+            inner = getattr(module, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[attr] = counts.get(attr, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        counting(sa_core, "sa_step")
+        counting(sa_core, "saddle_step")
+        counting(problems, "project_simplex")
+        counting(smoothing, "sample_ball")
+        counting(problems, "sample_ball")
+        make_policy = harness.make_policy
+
+        def counting_policy(*args):
+            policy = make_policy(*args)
+            inner = policy.next_gamma
+
+            def next_gamma():
+                counts["next_gamma"] = counts.get("next_gamma", 0) + 1
+                return inner()
+
+            policy.next_gamma = next_gamma
+            return policy
+
+        monkeypatch.setattr(harness, "make_policy", counting_policy)
+        config = resolve_config(problem, "csa", n=4, iters=25, replications=3, seed=1)
+        setup = harness.build_setup(config)
+        counts.clear()
+        harness.run_replications(config, reference=_fixed_reference(setup), setup=setup)
+        steps = config.iters * config.replications
+        step = "saddle_step" if setup.kind == "saddle" else "sa_step"
+        assert counts.pop(step) == steps
+        assert counts.pop("next_gamma") == steps
+        assert counts.pop("project_simplex", 0) == projections * steps
+        assert counts.pop("sample_ball", 0) == balls * steps
+        assert counts == {}
 
 class TestCiColumnsAudit:
     def test_log_ci_brackets_mean_on_transient_dominated_run(self):

@@ -57,6 +57,13 @@ class TestProjectSimplex:
         with pytest.raises(ValueError):
             project_simplex(np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("v", [[1e16, 0.0], [1e17, 0.0], [1e300, -1e300]])
+    def test_huge_entries_project_onto_simplex(self, v):
+        # u[0] - (u[0] - 1) rounds to 0 here, so no threshold index is active
+        p = project_simplex(np.array(v))
+        assert p.sum() == 1.0 and np.all(p >= 0.0)
+        assert p.tolist() == [1.0, 0.0]
+
 
 class TestProjectCapacity:
     def test_interior_point_fixed(self):

@@ -1,5 +1,8 @@
-"""Property tests of the steplength schedules over random valid constants, and
-of the capacity projection over random networks."""
+"""Property tests of the steplength schedules over random valid constants, of
+the capacity projection over random networks, and bitwise-equivalence tests of
+the per-step kernels against frozen copies of their earlier formulas."""
+
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -8,7 +11,9 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import nnls
 
 from adasa.bounds import csa_bound_trajectory
-from adasa.problems import project_capacity
+from adasa import problems
+from adasa.problems import project_capacity, project_simplex
+from adasa.smoothing import sample_ball
 from adasa.steplength import (
     GAMMA_FLOOR,
     CsaParams,
@@ -145,3 +150,156 @@ def test_capacity_projection_is_feasible_idempotent_and_kkt(instance):
     assert np.all(a @ x - c <= 1e-12)
     assert np.max(np.abs(project_capacity(x, a, c) - x)) <= 1e-12
     assert kkt_residual(v, x, a, c) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# frozen formulas: each step kernel must reproduce these bit for bit
+
+
+def frozen_project_simplex(v):
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, v.size + 1)
+    active = u - css / idx > 0
+    rho = idx[active][-1]
+    tau = css[rho - 1] / rho
+    return np.maximum(v - tau, 0.0)
+
+
+def frozen_draw_index(u, uniform):
+    shift = min(0.0, float(u.min()))
+    w = u - shift
+    total = w.sum()
+    w = np.full(u.size, 1.0 / u.size) if total <= 1e-300 else w / total
+    return int(np.searchsorted(np.cumsum(w), uniform, side="right").clip(0, u.size - 1))
+
+
+def frozen_sample_ball(n, epsilon, rng):
+    direction = rng.standard_normal(n)
+    norm = np.linalg.norm(direction)
+    while norm == 0.0:
+        direction = rng.standard_normal(n)
+        norm = np.linalg.norm(direction)
+    radius = epsilon * rng.uniform() ** (1.0 / n)
+    return (radius / norm) * direction
+
+
+def frozen_capacity_feasible(v, a, c):
+    excess = a @ v - c
+    return bool(np.all(v >= 0.0) and np.all(excess <= 0.0))
+
+
+class ReplayUniform:
+    """An rng whose uniform() returns one given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self):
+        return self.value
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+simplex_inputs = st.one_of(
+    # ties: few distinct values
+    hnp.arrays(
+        float, st.integers(1, 30), elements=st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])
+    ),
+    # mixed signs and scales, n = 1 included
+    hnp.arrays(float, st.integers(1, 30), elements=st.floats(-1e6, 1e6)),
+    # one-hot, scaled
+    st.builds(
+        lambda n, i, scale: np.eye(n)[i % n] * scale,
+        st.integers(1, 30),
+        st.integers(0, 29),
+        st.floats(-1e3, 1e3),
+    ),
+)
+
+
+@SETTINGS
+@given(v=simplex_inputs)
+@example(v=np.array([0.7]))
+@example(v=np.array([-3.0, -3.0, -3.0]))
+def test_project_simplex_bitwise_equals_frozen_formula(v):
+    assert same_bits(project_simplex(v), frozen_project_simplex(v))
+
+
+@SETTINGS
+@given(
+    u=st.one_of(
+        hnp.arrays(float, st.integers(1, 30), elements=st.floats(-2.0, 2.0)),
+        hnp.arrays(float, st.integers(1, 30), elements=st.floats(0.0, 1.0)),
+    ),
+    pick=st.integers(0, 2**31),
+    uniform=st.floats(0.0, 1.0, exclude_max=True),
+)
+# rounding leaves cumsum(w)[-1] = 1 - 2^-53, the largest uniform, so only the
+# last-index fallback keeps the index in range
+@example(u=np.full(10, 0.1), pick=0, uniform=1.0 - 2.0**-53)
+def test_draw_index_bitwise_equals_frozen_formula(u, pick, uniform):
+    cumulative = np.cumsum(problems._index_weights(u))
+    # a uniform that ties a cumulative weight, or any uniform at all
+    for value in (float(cumulative[pick % u.size]), uniform):
+        if value < 1.0:
+            got = problems._draw_index(u, ReplayUniform(value))
+            assert type(got) is int
+            assert got == frozen_draw_index(u, value)
+
+
+def test_draw_index_last_index_fallback_is_reached():
+    u = np.full(10, 0.1)
+    top = 1.0 - 2.0**-53
+    assert np.cumsum(problems._index_weights(u))[-1] == top
+    assert problems._draw_index(u, ReplayUniform(top)) == 9
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 80),
+    epsilon=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-150, 1e150),
+)
+def test_sample_ball_norm_bitwise_equals_frozen_formula(n, epsilon, seed, scale):
+    got = sample_ball(n, epsilon, np.random.default_rng(seed))
+    want = frozen_sample_ball(n, epsilon, np.random.default_rng(seed))
+    assert same_bits(got, want)
+    # the identity behind it, on the contiguous vectors the oracles return
+    g = np.random.default_rng(seed).standard_normal(n) * scale
+    assert math.sqrt(g @ g) == np.linalg.norm(g)
+
+
+@st.composite
+def capacity_boundary_instances(draw):
+    """Points near the boundary of {x >= 0, Ax <= C}: signed zeros, small
+    negatives, and capacities equal to the load on some links."""
+    n = draw(st.integers(1, 8))
+    links = draw(st.integers(1, 6))
+    a = draw(hnp.arrays(bool, (links, n))).astype(float)
+    for l in np.flatnonzero(a.sum(axis=1) == 0):
+        a[l, draw(st.integers(0, n - 1))] = 1.0
+    v = draw(
+        hnp.arrays(
+            float,
+            n,
+            elements=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-3, 1.0)),
+        )
+    )
+    load = a @ v
+    slack = draw(
+        hnp.arrays(float, links, elements=st.sampled_from([0.0, 1e-12, 0.3, -1e-12]))
+    )
+    c = np.maximum(load + slack, 0.05)
+    return v, a, c
+
+
+@SETTINGS
+@given(instance=capacity_boundary_instances())
+def test_capacity_short_circuit_matches_frozen_predicate(instance):
+    v, a, c = instance
+    assert (project_capacity(v, a, c) is v) == frozen_capacity_feasible(v, a, c)

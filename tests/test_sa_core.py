@@ -7,7 +7,6 @@ from adasa.bounds import rsa_bound_trajectory
 from adasa import problems
 from adasa.problems import project_simplex
 from adasa.sa_core import (
-    SaddlePoint,
     Trajectory,
     run_sa,
     run_saddle_sa,
@@ -127,9 +126,9 @@ class TestRunSa:
 
 class TestSaddleStep:
     def test_zero_gradients_fixed_point(self):
-        state = SaddlePoint(x=np.array([0.3, 0.7]), y=np.array([0.6, 0.4]))
-        out = saddle_step(state, np.zeros(2), np.zeros(2), 0.5)
-        assert np.allclose(out.x, state.x) and np.allclose(out.y, state.y)
+        x, y = np.array([0.3, 0.7]), np.array([0.6, 0.4])
+        out_x, out_y = saddle_step(x, y, np.zeros(2), np.zeros(2), 0.5)
+        assert np.allclose(out_x, x) and np.allclose(out_y, y)
 
     def test_exact_gradients_move_toward_saddle_vertices(self):
         # n=2 game matrix: column 1 dominates column 2, row 2 dominates row 1,
@@ -140,17 +139,17 @@ class TestSaddleStep:
         y = np.array([0.5, 0.5])
         gx = a.T @ y + eta * x
         gy = a @ x - eta * y
-        out = saddle_step(SaddlePoint(x=x, y=y), gx, gy, 0.2)
-        assert out.x[0] > 0.5 and out.y[1] > 0.5
+        out_x, out_y = saddle_step(x, y, gx, gy, 0.2)
+        assert out_x[0] > 0.5 and out_y[1] > 0.5
 
     def test_iterates_stay_on_simplices(self):
         rng = np.random.default_rng(2)
-        state = SaddlePoint(x=np.full(4, 0.25), y=np.full(4, 0.25))
+        x = y = np.full(4, 0.25)
         for _ in range(100):
-            state = saddle_step(
-                state, rng.standard_normal(4), rng.standard_normal(4), 0.3
+            x, y = saddle_step(
+                x, y, rng.standard_normal(4), rng.standard_normal(4), 0.3
             )
-            for v in (state.x, state.y):
+            for v in (x, y):
                 assert v.sum() == pytest.approx(1.0, abs=1e-12)
                 assert np.all(v >= 0)
 
@@ -164,14 +163,14 @@ class TestSaddleStep:
             return project_simplex(v)
 
         monkeypatch.setattr(problems, "project_simplex", counting)
-        state = SaddlePoint(x=np.full(3, 1 / 3), y=np.full(3, 1 / 3))
-        saddle_step(state, np.ones(3), np.ones(3), 0.1)
+        third = np.full(3, 1 / 3)
+        saddle_step(third, third, np.ones(3), np.ones(3), 0.1)
         assert len(calls) == 2
 
     def test_dimension_mismatch(self):
-        state = SaddlePoint(x=np.full(3, 1 / 3), y=np.full(3, 1 / 3))
+        third = np.full(3, 1 / 3)
         with pytest.raises(ValueError):
-            saddle_step(state, np.zeros(2), np.zeros(3), 0.1)
+            saddle_step(third, third, np.zeros(2), np.zeros(3), 0.1)
 
 
 class TestRunSaddle:
@@ -195,6 +194,126 @@ class TestRunSaddle:
                 np.full(3, 1 / 3), np.full(3, 1 / 3), 5, np.zeros(3),
                 np.random.default_rng(0),
             )
+
+
+class CountingPolicy:
+    """Hands out gammas[k] at step k and counts the calls."""
+
+    def __init__(self, gammas):
+        self.gammas = list(gammas)
+        self.calls = 0
+
+    def next_gamma(self):
+        gamma = self.gammas[self.calls]
+        self.calls += 1
+        return gamma
+
+
+def _faulty_at(step, good, bad=None):
+    """Oracle returning bad(point) at `step` and good(point) at every other
+    step (step None: never bad); the list it returns counts the calls."""
+    calls = []
+
+    def oracle(*args):
+        calls.append(None)
+        faulty = step is not None and len(calls) == step + 1
+        return (bad if faulty else good)(*args[:-1])
+
+    return oracle, calls
+
+
+_FAULT_STEP = 4
+# steplengths the engines must reject
+_BAD_GAMMAS = [0.0, -0.1, math.nan, math.inf]
+
+
+class TestChecksFireAtTheFaultyStep:
+    """Each per-step check raises at the step where its fault occurs."""
+
+    def _run_sa(self, oracle, gammas, proj=None):
+        policy = CountingPolicy(gammas)
+        with pytest.raises(ValueError) as info:
+            run_sa(oracle, proj, policy, np.full(3, 1 / 3), 10, np.zeros(3),
+                   np.random.default_rng(0))
+        return policy, info.value
+
+    @pytest.mark.parametrize("bad_entry", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_gradient_without_projection(self, bad_entry):
+        def bad(x):
+            g = np.zeros_like(x)
+            g[1] = bad_entry
+            return g
+
+        oracle, calls = _faulty_at(_FAULT_STEP, np.zeros_like, bad)
+        policy, err = self._run_sa(oracle, [0.1] * 10)
+        assert "non-finite" in str(err)
+        assert len(calls) == policy.calls == _FAULT_STEP + 1
+
+    def test_overflowing_step_without_projection(self):
+        # finite x and g whose step x - gamma*g overflows
+        oracle, calls = _faulty_at(
+            _FAULT_STEP, np.zeros_like, lambda x: np.full_like(x, -1e308)
+        )
+        with np.errstate(over="ignore"):
+            policy, err = self._run_sa(oracle, [10.0] * 10)
+        assert "non-finite" in str(err)
+        assert len(calls) == _FAULT_STEP + 1
+
+    @pytest.mark.parametrize("gamma", _BAD_GAMMAS)
+    def test_bad_steplength_after_the_first_step(self, gamma):
+        gammas = [0.1] * 10
+        gammas[_FAULT_STEP] = gamma
+        oracle, calls = _faulty_at(None, np.zeros_like)
+        policy, err = self._run_sa(oracle, gammas, proj=project_simplex)
+        assert "steplength" in str(err)
+        assert policy.calls == len(calls) == _FAULT_STEP + 1
+
+    def test_gradient_of_the_wrong_shape(self):
+        oracle, calls = _faulty_at(_FAULT_STEP, np.zeros_like, lambda x: np.zeros(1))
+        policy, err = self._run_sa(oracle, [0.1] * 10, proj=project_simplex)
+        assert "shape" in str(err)
+        assert len(calls) == _FAULT_STEP + 1
+
+    def _run_saddle(self, oracle, gammas):
+        policy = CountingPolicy(gammas)
+        third = np.full(3, 1 / 3)
+        with pytest.raises(ValueError) as info:
+            run_saddle_sa(oracle, policy, third, third, 10, np.zeros(6),
+                          np.random.default_rng(0))
+        return policy, info.value
+
+    @staticmethod
+    def _zeros(x, y):
+        return np.zeros_like(x), np.zeros_like(y)
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_saddle_nonfinite_gradient(self, block):
+        def bad(x, y):
+            pair = [np.zeros_like(x), np.zeros_like(y)]
+            pair[block][0] = math.nan
+            return tuple(pair)
+
+        oracle, calls = _faulty_at(_FAULT_STEP, self._zeros, bad)
+        policy, err = self._run_saddle(oracle, [0.1] * 10)
+        assert "non-finite" in str(err)
+        assert len(calls) == policy.calls == _FAULT_STEP + 1
+
+    @pytest.mark.parametrize("gamma", _BAD_GAMMAS)
+    def test_saddle_bad_steplength_after_the_first_step(self, gamma):
+        gammas = [0.1] * 10
+        gammas[_FAULT_STEP] = gamma
+        oracle, calls = _faulty_at(None, self._zeros)
+        policy, err = self._run_saddle(oracle, gammas)
+        assert "steplength" in str(err)
+        assert policy.calls == len(calls) == _FAULT_STEP + 1
+
+    def test_saddle_gradient_of_the_wrong_shape(self):
+        oracle, calls = _faulty_at(
+            _FAULT_STEP, self._zeros, lambda x, y: (np.zeros(3), np.zeros(4))
+        )
+        policy, err = self._run_saddle(oracle, [0.1] * 10)
+        assert "shape" in str(err)
+        assert len(calls) == _FAULT_STEP + 1
 
 
 class TestBoundDomination:
