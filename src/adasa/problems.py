@@ -28,10 +28,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # projections
 
 
-# ranks 1..256 as floats; each is exact, so css / ranks equals css / (int ranks)
-_RANKS = np.arange(1.0, 257.0)
-
-
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} by sort and threshold."""
     v = np.asarray(v, dtype=float)
@@ -39,8 +35,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
         raise ValueError("cannot project a vector with non-finite entries")
     u = np.sort(v)[::-1]
     css = u.cumsum() - 1.0
-    n = v.size
-    ranks = _RANKS[:n] if n <= _RANKS.size else np.arange(1.0, n + 1.0)
+    # float ranks are exact, so css / ranks equals css / (int ranks)
+    ranks = np.arange(1.0, v.size + 1.0)
     active = (u - css / ranks > 0).nonzero()[0]
     if not active.size:
         # u[0] - (u[0] - 1) rounds to 0 once u[0] >= 2^53. The projection is

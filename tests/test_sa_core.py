@@ -187,6 +187,26 @@ class TestRunSaddle:
         assert traj.squared_errors.tolist() == [0.0] * 5
         assert traj.terminal_squared_error == 0.0
 
+    def test_oracle_gets_views_that_later_steps_overwrite(self):
+        seen, copies = [], []
+
+        def oracle(x, y, rng):
+            seen.append((x, y))
+            copies.append(np.concatenate([x, y]))
+            return np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+        x0, y0 = np.array([0.5, 0.5]), np.array([0.5, 0.5])
+        traj = run_saddle_sa(
+            oracle, FixedPolicy(0.1), x0, y0, 3, np.zeros(4),
+            np.random.default_rng(0),
+        )
+        assert x0.tolist() == [0.5, 0.5] and y0.tolist() == [0.5, 0.5]
+        for x, y in seen:
+            assert np.shares_memory(x, traj.final_point)
+            assert np.concatenate([x, y]).tolist() == traj.final_point.tolist()
+        assert copies[0].tolist() == [0.5, 0.5, 0.5, 0.5]
+        assert copies[1].tolist() != copies[0].tolist()
+
     def test_reference_size_checked(self):
         with pytest.raises(ValueError):
             run_saddle_sa(
