@@ -10,8 +10,8 @@ objective whose minimizer serves as the reference for error curves.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -129,7 +129,7 @@ def _minimize_projected(
     y may be infeasible, so its residual only triggers certification at x_new:
     grad_map_norm is always ||p - proj(p - grad f(p))|| at the feasible point p
     returned. On stall or budget exhaustion the best certified point is
-    returned with converged=False and a warning.
+    returned with converged=False and a logged warning.
     """
     proj, value_grad = saa.proj, saa.value_grad
 
@@ -174,9 +174,10 @@ def _minimize_projected(
     certified = residual(x, value_grad(x)[1])
     if certified < best_res:
         best_x, best_res = x, certified
-    warnings.warn(
-        f"accelerated projected gradient stopped at residual {best_res:.3e}; "
-        "returning best iterate"
+    logging.getLogger("adasa").warning(
+        "accelerated projected gradient stopped at residual %.3e; "
+        "returning best iterate",
+        best_res,
     )
     return Reference(best_x, best_res, False, it)
 
@@ -215,8 +216,8 @@ def _solve_saddle_extragradient(
         y = saa.proj_y(y - gamma * fym)
     else:
         it = max_iter
-    warnings.warn(
-        f"extragradient stopped at residual {best[2]:.3e}; returning best iterate"
+    logging.getLogger("adasa").warning(
+        "extragradient stopped at residual %.3e; returning best iterate", best[2]
     )
     return Reference(np.concatenate([best[0], best[1]]), best[2], False, it)
 
@@ -234,7 +235,7 @@ def saa_reference(
     restart until the unit-step gradient-mapping norm at a feasible point falls
     below grad_map_tol; saddle problems run extragradient against the same
     natural-residual criterion. On budget exhaustion the best iterate is returned
-    with converged=False and a warning.
+    with converged=False and a logged warning.
     """
     if sample_size < 1_000:
         raise ValueError(f"sample_size must be >= 1000, got {sample_size}")
@@ -291,7 +292,10 @@ def _gaussian_max_affine(
     """E[max_i(v_i + s_i U)], dE/dmu, dE/dsigma for U ~ N(mu, sigma^2).
 
     Closed form piece by piece over the envelope knots; the boundary terms
-    cancel because the envelope is continuous at every knot.
+    cancel because the envelope is continuous at every knot. One piece at a
+    time on length-m vectors: value and sigma term sum from zero left to right,
+    numpy's row-sum order below 8 pieces; d_mu, d_sigma are one gemv each. At
+    zero sigma (floored at 1e-300) z**2 overflows to inf: exp(-inf) = 0 holds.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.maximum(np.atleast_1d(np.asarray(sigma, dtype=float)), 1e-300)
@@ -300,20 +304,23 @@ def _gaussian_max_affine(
     if r == 1:
         value = v_h[0] + s_h[0] * mu
         return value, np.full(m, s_h[0]), np.zeros(m)
-    z = (knots[None, :] - mu[:, None]) / sigma[:, None]
-    cdf = np.empty((m, r + 1))
-    cdf[:, 0] = 0.0
-    cdf[:, 1:r] = ndtr(z)
-    cdf[:, r] = 1.0
-    pdf = np.zeros((m, r + 1))
-    pdf[:, 1:r] = np.exp(-0.5 * z**2) / _SQRT_2PI
-    d_cdf = np.diff(cdf, axis=1)
-    d_pdf = pdf[:, :-1] - pdf[:, 1:]
-    value = ((v_h[None, :] + s_h[None, :] * mu[:, None]) * d_cdf).sum(axis=1)
-    value += sigma * (d_pdf * s_h[None, :]).sum(axis=1)
-    d_mu = d_cdf @ s_h
-    d_sigma = d_pdf @ s_h
-    return value, d_mu, d_sigma
+    d_cdf, d_pdf = np.empty((m, r)), np.empty((m, r))
+    value, sigma_term = np.zeros(m), np.zeros(m)
+    cdf_prev = pdf_prev = 0.0
+    for k in range(r):
+        if k < r - 1:
+            with np.errstate(over="ignore"):
+                z = (knots[k] - mu) / sigma
+                cdf, pdf = ndtr(z), np.exp(-0.5 * z**2) / _SQRT_2PI
+        else:
+            cdf, pdf = 1.0, 0.0
+        d_cdf[:, k] = step_cdf = cdf - cdf_prev
+        d_pdf[:, k] = step_pdf = pdf_prev - pdf
+        value += (v_h[k] + s_h[k] * mu) * step_cdf
+        sigma_term += step_pdf * s_h[k]
+        cdf_prev, pdf_prev = cdf, pdf
+    value += sigma * sigma_term
+    return value, d_cdf @ s_h, d_pdf @ s_h
 
 
 @dataclass
@@ -464,7 +471,7 @@ def _draw_index(u: np.ndarray, rng: np.random.Generator) -> int:
     """Index q with probability (u_q - min(0, u)) / sum_j (u_j - min(0, u)),
     driven by a single uniform variate."""
     w = _index_weights(u)
-    return min(int(w.cumsum().searchsorted(rng.uniform(), "right")), u.size - 1)
+    return min(int(np.add.accumulate(w).searchsorted(rng.uniform(), "right")), u.size - 1)
 
 
 def _draw_indices(u: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +370,22 @@ class TestGaussianMaxAffine:
                 assert dmu[0] == pytest.approx(fd_mu, abs=1e-7)
                 assert dsig[0] == pytest.approx(fd_sig, abs=1e-7)
 
+    def test_zero_sigma_is_the_envelope_without_warnings(self):
+        from adasa.problems import _upper_envelope
+
+        v_h, s_h, knots = _upper_envelope(
+            np.array([1.0, 0.5, -1.0]), np.array([-0.5, 0.25, 1.0])
+        )
+        assert knots.size == 2
+        mu = np.array([-4.0, knots[0] - 0.5, knots.mean(), knots[1] + 0.5, 50.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, dmu, dsig = _gaussian_max_affine(mu, np.zeros(5), v_h, s_h, knots)
+        pieces = v_h[None, :] + s_h[None, :] * mu[:, None]
+        assert np.array_equal(val, pieces.max(axis=1))
+        assert np.array_equal(dmu, s_h[pieces.argmax(axis=1)])
+        assert np.array_equal(dsig, np.zeros(5))
+
 
 class TestBimatrixProblem:
     def test_matrix_structure(self):
@@ -656,10 +674,11 @@ class TestSaaReference:
         assert tight.converged
         assert np.linalg.norm(p - tight.point) <= 1e-6
 
-    def test_budget_exhaustion_returns_certified_point_and_warns(self):
+    def test_budget_exhaustion_returns_certified_point_and_warns(self, caplog):
         problem = UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=14)
-        with pytest.warns(UserWarning, match="returning best iterate"):
+        with caplog.at_level(logging.WARNING, logger="adasa"):
             ref = saa_reference(problem, sample_size=2000, seed=21, max_iter=5)
+        assert "returning best iterate" in caplog.text
         assert not ref.converged
         p = ref.point
         assert np.all(p >= 0.0) and p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -668,7 +687,7 @@ class TestSaaReference:
         assert residual == pytest.approx(ref.grad_map_norm, rel=1e-9)
         assert residual > 1e-8
 
-    def test_saddle_stall_reports_iterations_run(self):
+    def test_saddle_stall_reports_iterations_run(self, caplog):
         # at tolerance 0 the residual stalls at rounding level long before
         # the budget; each step evaluates the operator twice, and the step
         # that detects the stall once more
@@ -683,8 +702,9 @@ class TestSaaReference:
             return operator(x, y)
 
         saa.operator = counted
-        with pytest.warns(UserWarning, match="returning best iterate"):
+        with caplog.at_level(logging.WARNING, logger="adasa"):
             ref = _solve_saddle_extragradient(saa, 0.0, 200_000, stall_window=200)
+        assert "returning best iterate" in caplog.text
         assert not ref.converged
         assert ref.iterations < 200_000
         assert calls == 2 * ref.iterations + 1

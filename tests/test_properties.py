@@ -1,6 +1,7 @@
 """Property tests of the steplength schedules over random valid constants, of
 the capacity projection over random networks, and bitwise-equivalence tests of
-the per-step kernels against frozen copies of their earlier formulas."""
+the per-step kernels and the Gaussian max-affine kernel against frozen copies
+of their earlier formulas."""
 
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import nnls
+from scipy.special import ndtr
 
 from adasa.bounds import csa_bound_trajectory
 from adasa import problems
@@ -190,6 +192,30 @@ def frozen_capacity_feasible(v, a, c):
     return bool(np.all(v >= 0.0) and np.all(excess <= 0.0))
 
 
+def frozen_gaussian_max_affine(mu, sigma, v_h, s_h, knots):
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    sigma = np.maximum(np.atleast_1d(np.asarray(sigma, dtype=float)), 1e-300)
+    m = mu.size
+    r = s_h.size
+    if r == 1:
+        value = v_h[0] + s_h[0] * mu
+        return value, np.full(m, s_h[0]), np.zeros(m)
+    z = (knots[None, :] - mu[:, None]) / sigma[:, None]
+    cdf = np.empty((m, r + 1))
+    cdf[:, 0] = 0.0
+    cdf[:, 1:r] = ndtr(z)
+    cdf[:, r] = 1.0
+    pdf = np.zeros((m, r + 1))
+    pdf[:, 1:r] = np.exp(-0.5 * z**2) / problems._SQRT_2PI
+    d_cdf = np.diff(cdf, axis=1)
+    d_pdf = pdf[:, :-1] - pdf[:, 1:]
+    value = ((v_h[None, :] + s_h[None, :] * mu[:, None]) * d_cdf).sum(axis=1)
+    value += sigma * (d_pdf * s_h[None, :]).sum(axis=1)
+    d_mu = d_cdf @ s_h
+    d_sigma = d_pdf @ s_h
+    return value, d_mu, d_sigma
+
+
 class ReplayUniform:
     """An rng whose uniform() returns one given value."""
 
@@ -272,6 +298,48 @@ def test_sample_ball_norm_bitwise_equals_frozen_formula(n, epsilon, seed, scale)
     # the identity behind it, on the contiguous vectors the oracles return
     g = np.random.default_rng(seed).standard_normal(n) * scale
     assert math.sqrt(g @ g) == np.linalg.norm(g)
+
+
+@st.composite
+def gaussian_envelope_inputs(draw):
+    """An upper envelope of 1-7 random pieces (slopes on a 0.1 grid, so knots
+    stay finite) and m Gaussians centred on either side of, or at, its knots."""
+    pieces = draw(st.integers(1, 7))
+    v = draw(hnp.arrays(float, pieces, elements=st.floats(-2.0, 2.0)))
+    s = draw(hnp.arrays(float, pieces, elements=st.integers(-20, 20))) / 10.0
+    v_h, s_h, knots = problems._upper_envelope(v, s)
+    m = draw(st.integers(1, 50))
+    centres = np.append(knots, 0.0)
+    at = draw(hnp.arrays(int, m, elements=st.integers(0, centres.size - 1)))
+    offset = draw(
+        hnp.arrays(float, m, elements=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+    )
+    sigma = draw(
+        hnp.arrays(
+            float,
+            m,
+            elements=st.one_of(st.sampled_from([0.0, 1e-300]), st.floats(1e-3, 10.0)),
+        )
+    )
+    return centres[at] + offset, sigma, v_h, s_h, knots
+
+
+ONE_PIECE = problems._upper_envelope(np.array([0.3]), np.array([0.5]))
+KNOT_AT_ONE = problems._upper_envelope(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+@SETTINGS
+@given(instance=gaussian_envelope_inputs())
+# r = 1: the early return
+@example(instance=(np.array([-1.0, 2.0]), np.array([0.0, 0.5]), *ONE_PIECE))
+# mu exactly at the knot of max(1, u), at zero, tiny and unit sigma
+@example(instance=(np.full(3, 1.0), np.array([0.0, 1e-300, 1.0]), *KNOT_AT_ONE))
+def test_gaussian_max_affine_bitwise_equals_frozen_formula(instance):
+    got = problems._gaussian_max_affine(*instance)
+    with np.errstate(over="ignore"):
+        want = frozen_gaussian_max_affine(*instance)
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
 
 
 @st.composite
