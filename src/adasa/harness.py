@@ -347,7 +347,9 @@ def run_replications(
     """Execute `config.replications` independent trajectories and aggregate.
 
     The reference solution is computed once (or injected, e.g. to share across
-    the schemes being compared) and reused by every replication.
+    the schemes being compared) and reused by every replication. A reference
+    solved here that misses its tolerance raises RuntimeError, since every
+    error curve is measured against it; an injected one is used as given.
     """
     setup = setup if setup is not None else build_setup(config)
     if reference is None:
@@ -356,6 +358,11 @@ def run_replications(
             sample_size=config.saa_samples,
             seed=np.random.default_rng([config.seed, _TAG_REFERENCE]),
         )
+        if not reference.converged:
+            raise RuntimeError(
+                "the reference solve did not converge: it stopped at residual "
+                f"{reference.grad_map_norm:.3e} after {reference.iterations} iterations"
+            )
     trajectories: list[Trajectory] = []
     for r in range(config.replications):
         rng = np.random.default_rng(config.seed + r)

@@ -22,6 +22,11 @@ from scipy.special import ndtr
 from .smoothing import sample_ball, sample_ball_batch
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# a relative change of F this small is rounding, too small for Armijo to rank
+# two points (near x* the utility F meets its quadratic model to ~3e-16)
+_VALUE_ROUNDING = 1e-14
+# rows per pass of the utility Hessian, so no m-length temporary outlives one
+_HESSIAN_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +88,17 @@ def project_capacity(
 
 @dataclass
 class SaaMinimization:
-    """Deterministic sample-average minimization: value/gradient, projection, start."""
+    """Deterministic sample-average minimization: value/gradient, projection, start.
+
+    A problem that supplies `hessian` is solved by projected Newton; one that
+    does not, by accelerated projected gradient from `initial_step`.
+    """
 
     value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     proj: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
-    initial_step: float
+    initial_step: float | None = None
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -182,6 +192,74 @@ def _minimize_projected(
     return Reference(best_x, best_res, False, it)
 
 
+def _minimize_newton(saa: SaaMinimization, grad_map_tol: float, max_iter: int) -> Reference:
+    """Projected Newton with Armijo backtracking (Lee, Sun and Saunders 2014).
+
+    Each outer step minimizes the quadratic model g.d + d.H d/2 over the
+    feasible set with _minimize_projected at step 1/lambda_max(H), the model
+    gradient's exact Lipschitz constant, to a tolerance that tightens with the
+    residual. It then halves the step from 1 until F decreases by 1e-4 of the
+    model slope (Armijo). Once F changes by no more than its rounding, F cannot
+    rank two points and the certificate does: a step is then taken only if it
+    lowers the residual. Every iterate is certified as in _minimize_projected,
+    so grad_map_norm is ||p - proj(p - grad f(p))|| at the feasible point p
+    returned. max_iter bounds the outer steps and each inner solve. When no
+    step decreases F, or the outer steps run out, the best certified point is
+    returned with converged=False and a logged warning.
+    """
+    proj, value_grad, hessian = saa.proj, saa.value_grad, saa.hessian
+
+    def residual(p: np.ndarray, g: np.ndarray) -> float:
+        return float(np.linalg.norm(p - proj(p - g)))
+
+    x = proj(np.asarray(saa.x0, dtype=float))
+    f, g = value_grad(x)
+    res = residual(x, g)
+    best_x, best_res = x, res
+    it, stop = 0, "ran out of steps"
+    while best_res > grad_map_tol and it < max_iter:
+        h = hessian(x)
+
+        def model(p: np.ndarray, x=x, g=g, h=h) -> tuple[float, np.ndarray]:
+            d = p - x
+            hd = h @ d
+            return float(g @ d + 0.5 * (d @ hd)), g + hd
+
+        inner = _minimize_projected(
+            SaaMinimization(model, proj, x, 1.0 / float(np.linalg.eigvalsh(h)[-1])),
+            max(0.1 * grad_map_tol, min(0.1, res) * res),
+            max_iter,
+        )
+        d = inner.point - x
+        slope = float(g @ d)
+        t = 1.0
+        while True:
+            # x and x + d are feasible, so proj only removes rounding
+            x_t = proj(x + t * d)
+            f_t, g_t = value_grad(x_t)
+            res_t = residual(x_t, g_t)
+            if abs(f_t - f) <= _VALUE_ROUNDING * abs(f):
+                accept = res_t < res
+            else:
+                accept = f_t <= f + 1e-4 * t * slope
+            if accept or t < 1e-10:
+                break
+            t *= 0.5
+        it += 1
+        if not accept:
+            stop = "found no step that decreases F"
+            break
+        x, f, g, res = x_t, f_t, g_t, res_t
+        if res < best_res:
+            best_x, best_res = x, res
+    if best_res <= grad_map_tol:
+        return Reference(best_x, best_res, True, it)
+    logging.getLogger("adasa").warning(
+        "projected Newton %s at residual %.3e; returning best iterate", stop, best_res
+    )
+    return Reference(best_x, best_res, False, it)
+
+
 def _solve_saddle_extragradient(
     saa: SaaSaddle,
     grad_map_tol: float,
@@ -231,11 +309,13 @@ def saa_reference(
 ) -> Reference:
     """Reference solution from the problem's deterministic sample-average objective.
 
-    Minimization problems run accelerated projected gradient with adaptive
-    restart until the unit-step gradient-mapping norm at a feasible point falls
-    below grad_map_tol; saddle problems run extragradient against the same
-    natural-residual criterion. On budget exhaustion the best iterate is returned
-    with converged=False and a logged warning.
+    Minimization problems whose SAA carries a Hessian (utility) run projected
+    Newton, max_iter bounding its outer steps; the others (network) run
+    accelerated projected gradient with adaptive restart. Both stop once the
+    unit-step gradient-mapping norm at a feasible point falls below
+    grad_map_tol. Saddle problems run extragradient against the same
+    natural-residual criterion. A solver that stops short returns its best
+    certified iterate with converged=False and a logged warning.
     """
     if sample_size < 1_000:
         raise ValueError(f"sample_size must be >= 1000, got {sample_size}")
@@ -243,6 +323,8 @@ def saa_reference(
     saa = problem.build_saa(sample_size, rng)
     if isinstance(saa, SaaSaddle):
         return _solve_saddle_extragradient(saa, grad_map_tol, max_iter)
+    if saa.hessian is not None:
+        return _minimize_newton(saa, grad_map_tol, max_iter)
     return _minimize_projected(saa, grad_map_tol, max_iter)
 
 
@@ -418,8 +500,10 @@ class UtilityProblem:
         for a max-affine function under a normal), the ball perturbation is a
         fixed sample average of `sample_size` draws. The Gaussian at x + z_i has
         mean (x + z_i) @ a and deviation ||x + z_i||, formed from Z @ x alone.
-        Z^T c goes through einsum rather than BLAS: a BLAS reduction over the
-        sample axis changes its bits with the thread count, and with them x*."""
+        The closed-form Hessian lets the reference be solved by projected
+        Newton. Every reduction over the sample axis (Z^T c in the gradient,
+        the Hessian's sums) goes through einsum rather than BLAS: a BLAS
+        reduction changes its bits with the thread count, and with them x*."""
         z_samples = sample_ball_batch(sample_size, self.n, self.epsilon, rng)
         z_mean = z_samples.mean(axis=0)
         v_h, s_h, knots = self._envelope
@@ -443,14 +527,60 @@ class UtilityProblem:
             )
             return value, grad
 
-        # curvature of the Gaussian envelope is modest; eta dominates for the
-        # baseline settings, so 1/(eta + sum of slopes) is a safe opening step
-        step = 1.0 / (self.eta + float(self.slopes.max()) * (1.0 + self.n))
+        jumps = np.diff(s_h)
+        n = self.n
+
+        def hessian(x: np.ndarray) -> np.ndarray:
+            # u_i = x + z_i; w_j = jump_j phi(zeta_j), zeta_j = (t_j - mu)/sigma.
+            # psi_mumu = c = psi_sigma/sigma = sum w/sigma, e = psi_musigma/sigma
+            # = sum w zeta/sigma^2, d = (psi_sigmasigma - c)/sigma^2
+            # = sum w (zeta^2 - 1)/sigma^3, b = mean e u, and
+            # H = mean c (aa^T + I) + ab^T + ba^T + mean d uu^T + eta I
+            a_x, x_x = a @ x, x @ x
+            sum_c = sum_e = sum_d = 0.0
+            ez, dz, dzz = np.zeros(n), np.zeros(n), np.zeros((n, n))
+            for lo in range(0, sample_size, _HESSIAN_CHUNK):
+                zc = z_samples[lo : lo + _HESSIAN_CHUNK]
+                hi = lo + zc.shape[0]
+                mu = z_a[lo:hi] + a_x
+                sig = np.maximum(
+                    np.sqrt(np.maximum(z_sq[lo:hi] + 2.0 * (zc @ x) + x_x, 0.0)), 1e-12
+                )
+                w0, w1, w2 = np.zeros(hi - lo), np.zeros(hi - lo), np.zeros(hi - lo)
+                for t_j, jump in zip(knots, jumps):
+                    zeta = (t_j - mu) / sig
+                    w = jump * np.exp(-0.5 * zeta**2) / _SQRT_2PI
+                    w0 += w
+                    w *= zeta
+                    w1 += w
+                    w *= zeta
+                    w2 += w
+                c = w0 / sig
+                e = w1 / sig**2
+                d = (w2 - w0) / sig**3
+                sum_c += c.sum()
+                sum_e += e.sum()
+                sum_d += d.sum()
+                ez += np.einsum("i,ij->j", e, zc)
+                dz += np.einsum("i,ij->j", d, zc)
+                dzz += np.einsum("ij,ik->jk", zc * d[:, None], zc)
+            mean_c = sum_c / sample_size
+            b = (sum_e * x + ez) / sample_size
+            xdz = np.outer(x, dz)
+            h = (
+                mean_c * np.outer(a, a)
+                + np.outer(a, b)
+                + np.outer(b, a)
+                + (sum_d * np.outer(x, x) + xdz + xdz.T + dzz) / sample_size
+            )
+            h[np.diag_indices(n)] += mean_c + eta
+            return 0.5 * (h + h.T)  # dzz is symmetric only up to rounding
+
         return SaaMinimization(
             value_grad=value_grad,
             proj=project_simplex,
             x0=np.full(self.n, 1.0 / self.n),
-            initial_step=step,
+            hessian=hessian,
         )
 
 

@@ -35,19 +35,19 @@ SIZE = {"replications": 3, "iters": 300, "seed": 0}
 # (problem, scheme): (CSV SHA-256, meta.json SHA-256, repr(terminal_mean))
 GOLDEN = {
     ("utility", "hsa"): (
-        "f18734e2b99c375e99e834128e88c7371f534daef843de11847363d4e433d48a",
-        "f4862e9a3dd89109908c5f880440a8ff78df4886e25bc381f5b12aa5d240bf50",
-        "0.010118532914617466",
+        "42ae109fde98e7f2004e768be1ed1dfb53b9de63ae01311d45c98e6f01eb75ee",
+        "730fcf2cfc6ef70dce75bd18a3c627580f86798f569051da610b69626b6e89a4",
+        "0.010118532569394217",
     ),
     ("utility", "rsa"): (
-        "40d79523c84e28417c0bc0470da1ed0cb7de500a15e8d477d22d39c8d0437ab7",
-        "9eea26109ba305124b257edcf2a1529f68a00a87047857f6a5f12dcb615ada15",
-        "0.012178205788180123",
+        "e7f04466531562d4a605c3e9fa3537c5a2f536a483592b594a4a0bb3c1e2e55f",
+        "b874bf5dba7966742533575991c7562c27047eebf1a819d3d2e8690c4e08c9b5",
+        "0.012178205341345576",
     ),
     ("utility", "csa"): (
-        "0036b4880622caaf52f97f8e5c85f4371642f51b8fce051b0bb5d35b56bc81cc",
-        "e784f11d3ce5dcaa5cb52c50fc31cbf123b732aea52bf2b93724db4ab9e2419a",
-        "0.012434071388914378",
+        "fe788a1fe8588e72adf63329019c42f1b0bf09fd4639835466e01f1eff11d6d6",
+        "c5e2cd83bab5ca9eda1d2cbe1a710f29f46dcb1f58719eae93fa418db7ae69b1",
+        "0.012434070984887241",
     ),
     ("bimatrix", "hsa"): (
         "408213ce992fb00c152539541f720755439879c76c57cd52b436576028b99237",

@@ -226,6 +226,18 @@ class TestRunReplications:
             run_replications(config, setup=setup)
 
 
+    def test_unconverged_reference_raises_unless_injected(self, monkeypatch):
+        config = resolve_config("bimatrix", "rsa", n=4, iters=10, replications=2,
+                                seed=13)
+        setup = build_setup(config)
+        stalled = _fixed_reference(setup)
+        stalled.grad_map_norm, stalled.converged, stalled.iterations = 3.25e-4, False, 7
+        monkeypatch.setattr(harness, "saa_reference", lambda *args, **kwargs: stalled)
+        with pytest.raises(RuntimeError, match="residual 3.250e-04 after 7 iterations"):
+            run_replications(config, setup=setup)
+        result = run_replications(config, reference=stalled, setup=setup)
+        assert result.reference is stalled
+
     @pytest.mark.parametrize("kind", ["min", "saddle"])
     def test_failure_in_a_later_replication_names_it(self, kind):
         problem = "network" if kind == "min" else "bimatrix"

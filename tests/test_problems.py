@@ -318,6 +318,33 @@ class TestUtilitySaa:
             fd[i] = (saa.value_grad(x + e)[0] - saa.value_grad(x - e)[0]) / (2 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-7
 
+    @staticmethod
+    def _hessian_instance():
+        problem = UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=14)
+        return problem, problem.build_saa(2000, np.random.default_rng(21))
+
+    @pytest.mark.parametrize(
+        "x", [[0.3, 0.1, 0.25, 0.15, 0.2], [0.6, 0.4, 0.0, 0.0, 0.0]], ids=["interior", "face"]
+    )
+    def test_hessian_matches_central_differences(self, x):
+        _, saa = self._hessian_instance()
+        x = np.array(x)
+        h = 1e-5
+        fd = np.empty((x.size, x.size))
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = h
+            fd[:, i] = (saa.value_grad(x + e)[1] - saa.value_grad(x - e)[1]) / (2 * h)
+        assert np.max(np.abs(saa.hessian(x) - fd)) <= 1e-9
+
+    def test_hessian_symmetric_and_strongly_convex(self):
+        problem, saa = self._hessian_instance()
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            hess = saa.hessian(rng.dirichlet(np.ones(problem.n)))
+            assert np.array_equal(hess, hess.T)
+            assert np.linalg.eigvalsh(hess)[0] >= problem.eta * (1.0 - 1e-9)
+
 
 def _mc_smoothed_value(problem, x, m, rng):
     from adasa.smoothing import sample_ball_batch
@@ -613,41 +640,77 @@ class TestNetworkProblem:
 
 
 class _QuadraticToy:
-    """Strongly convex quadratic with a known minimizer, for the solver oracle."""
+    """Strongly convex quadratic with a known minimizer, for the solver oracle.
 
-    def __init__(self, target, initial_step=1.0):
+    With hessian_scale the SAA carries the Hessian hessian_scale * I (the true
+    one is I), so the reference is solved by projected Newton; it counts its
+    value_grad calls in `evaluations`.
+    """
+
+    def __init__(self, target, initial_step=1.0, hessian_scale=None):
         self.target = np.asarray(target, dtype=float)
         self.initial_step = initial_step
+        self.hessian_scale = hessian_scale
+        self.evaluations = 0
 
     def build_saa(self, sample_size, rng):
         b = self.target
 
         def value_grad(x):
+            self.evaluations += 1
             d = x - b
             return 0.5 * float(d @ d), d
 
+        scale = self.hessian_scale
         return SaaMinimization(
             value_grad=value_grad,
             proj=lambda v: v,
             x0=np.zeros_like(b),
             initial_step=self.initial_step,
+            hessian=None if scale is None else lambda x: scale * np.eye(b.size),
         )
 
 
+BOTH_SOLVERS = pytest.mark.parametrize(
+    "hessian_scale", [None, 1.0], ids=["gradient", "newton"]
+)
+
+
 class TestSaaReference:
-    def test_quadratic_matches_closed_form(self):
-        toy = _QuadraticToy([0.3, -1.2, 2.5])
+    @BOTH_SOLVERS
+    def test_quadratic_matches_closed_form(self, hessian_scale):
+        toy = _QuadraticToy([0.3, -1.2, 2.5], hessian_scale=hessian_scale)
         ref = saa_reference(toy, sample_size=1000, seed=0)
         assert np.allclose(ref.point, toy.target, atol=1e-6)
         assert ref.converged
 
-    def test_step_above_two_over_lipschitz_still_converges(self):
+    @BOTH_SOLVERS
+    def test_step_above_two_over_lipschitz_still_converges(self, hessian_scale):
         # gradient Lipschitz constant 1: a step of 3 diverges until the
-        # divergence guard halves it
-        toy = _QuadraticToy([0.3, -1.2, 2.5], initial_step=3.0)
+        # divergence guard halves it; projected Newton does not use the step
+        toy = _QuadraticToy([0.3, -1.2, 2.5], initial_step=3.0, hessian_scale=hessian_scale)
         ref = saa_reference(toy, sample_size=1000, seed=0)
         assert ref.converged
         assert np.allclose(ref.point, toy.target, atol=1e-6)
+
+    def test_overstated_curvature_takes_short_full_steps(self):
+        # a Hessian 10x too large makes the model step 1/10 of the way: Armijo
+        # accepts each unit step as it is, one evaluation per step
+        toy = _QuadraticToy([0.3, -1.2, 2.5], hessian_scale=10.0)
+        ref = saa_reference(toy, sample_size=1000, seed=0)
+        assert ref.converged
+        assert np.allclose(ref.point, toy.target, atol=1e-6)
+        assert ref.iterations > 100
+        assert toy.evaluations == ref.iterations + 1
+
+    def test_understated_curvature_backtracks(self):
+        # a Hessian 10x too small overshoots 10-fold: F rises at steps 1, 1/2
+        # and 1/4, so every outer step evaluates F four times to accept 1/8
+        toy = _QuadraticToy([0.3, -1.2, 2.5], hessian_scale=0.1)
+        ref = saa_reference(toy, sample_size=1000, seed=0)
+        assert ref.converged
+        assert np.allclose(ref.point, toy.target, atol=1e-6)
+        assert toy.evaluations == 4 * ref.iterations + 1
 
     @pytest.mark.parametrize(
         "problem",
@@ -677,7 +740,7 @@ class TestSaaReference:
     def test_budget_exhaustion_returns_certified_point_and_warns(self, caplog):
         problem = UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=14)
         with caplog.at_level(logging.WARNING, logger="adasa"):
-            ref = saa_reference(problem, sample_size=2000, seed=21, max_iter=5)
+            ref = saa_reference(problem, sample_size=2000, seed=21, max_iter=1)
         assert "returning best iterate" in caplog.text
         assert not ref.converged
         p = ref.point
