@@ -47,10 +47,8 @@ from .smoothing import (
 )
 from .steplength import (
     CsaParams,
-    CsaState,
+    CsaRegime,
     StepSchedule,
-    csa_phase1,
-    csa_regime_length,
     csa_schedule,
     csa_steps,
     hsa_steps,

@@ -33,6 +33,7 @@ from .smoothing import (
     truncate_rows,
 )
 from .steplength import (
+    GAMMA_FLOOR,
     CsaParams,
     StepSchedule,
     csa_schedule,
@@ -462,7 +463,7 @@ def emit_metadata(result: ExperimentResult, csv_path: str) -> str:
             else None
         ),
         "floored_zero_errors": result.floored_zeros,
-        "clamped_steplengths": any(t.clamped for t in result.trajectories),
+        "clamped_steplengths": bool(np.any(result.gammas <= GAMMA_FLOOR)),
         "rng": "numpy PCG64 (default_rng); normals via ziggurat; "
         "replication r seeds base_seed + r",
     }

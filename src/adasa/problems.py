@@ -641,11 +641,11 @@ class BimatrixProblem:
     def sampled_gradient(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Column/row sample (A_{., l(y)}, -A_{l(x), .}); zero-mean noise around
+        """Row/column sample (A_{l(y), .}, -A_{., l(x)}); zero-mean noise around
         the exact pair at any feasible (x, y)."""
-        l_col = _draw_index(y, rng)
-        l_row = _draw_index(x, rng)
-        return self.matrix[:, l_col].copy(), -self.matrix[l_row, :].copy()
+        l_row = _draw_index(y, rng)
+        l_col = _draw_index(x, rng)
+        return self.matrix[l_row, :].copy(), -self.matrix[:, l_col].copy()
 
     def run_oracle(
         self,
@@ -654,7 +654,7 @@ class BimatrixProblem:
 
         One joint uniform draw from the 2n-ball perturbs both blocks; indices are
         sampled at the perturbed pair, and the y-part is returned in ascent
-        convention: (A_{., l(y+z2)} + eta*(x+z1), A_{l(x+z1), .} - eta*(y+z2)).
+        convention: (A_{l(y+z2), .} + eta*(x+z1), A_{., l(x+z1)} - eta*(y+z2)).
         """
         n, eta, eps, a = self.n, self.eta, self.epsilon, self.matrix
 
@@ -662,10 +662,10 @@ class BimatrixProblem:
             zeta = sample_ball(2 * n, eps, rng)
             xh = x + zeta[:n]
             yh = y + zeta[n:]
-            l_col = _draw_index(yh, rng)
-            l_row = _draw_index(xh, rng)
-            gx = a[:, l_col] + eta * xh
-            gy = a[l_row, :] - eta * yh
+            l_row = _draw_index(yh, rng)
+            l_col = _draw_index(xh, rng)
+            gx = a[l_row, :] + eta * xh
+            gy = a[:, l_col] - eta * yh
             return gx, gy
 
         return oracle
@@ -680,9 +680,9 @@ class BimatrixProblem:
         uniforms = rng.uniform(size=(m, 2))
         xh = x + zeta[:, :n]
         yh = y + zeta[:, n:]
-        l_col = _draw_indices(yh, uniforms[:, 0])
-        l_row = _draw_indices(xh, uniforms[:, 1])
-        return np.hstack([a.T[l_col] + eta * xh, a[l_row] - eta * yh])
+        l_row = _draw_indices(yh, uniforms[:, 0])
+        l_col = _draw_indices(xh, uniforms[:, 1])
+        return np.hstack([a[l_row] + eta * xh, a.T[l_col] - eta * yh])
 
     def lipschitz(self) -> float:
         """Exact gradient Lipschitz constant ||A||_2 + eta.

@@ -28,7 +28,6 @@ class Trajectory:
     squared_errors: np.ndarray
     terminal_squared_error: float
     final_point: np.ndarray
-    clamped: bool = False
 
 
 def sa_step(
@@ -63,8 +62,9 @@ def run_sa(
 ) -> Trajectory:
     """Run n_iters projected SA steps, recording the pre-update error at each k.
 
-    Entry k holds the steplength gamma_k actually used and ||x_k - reference||^2;
-    the error after the final update is stored separately on the trajectory.
+    Entry k holds the steplength gamma_k = policy.next_gamma() and
+    ||x_k - reference||^2; the error after the final update is stored
+    separately on the trajectory.
     sa_step rejects a steplength that is not positive and finite.
     """
     if n_iters < 1:
@@ -90,7 +90,6 @@ def run_sa(
         squared_errors=errors,
         terminal_squared_error=float(diff @ diff),
         final_point=x,
-        clamped=bool(getattr(policy, "clamped", False)),
     )
 
 
@@ -160,5 +159,4 @@ def run_saddle_sa(
         squared_errors=errors,
         terminal_squared_error=float(diff @ diff),
         final_point=z,
-        clamped=bool(getattr(policy, "clamped", False)),
     )

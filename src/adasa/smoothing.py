@@ -125,9 +125,6 @@ class SmoothedOracle:
     epsilon: float
     subgrad_bound: float | None = None
 
-    def perturbation(self, rng: np.random.Generator) -> np.ndarray:
-        return sample_ball(self.n, self.epsilon, rng)
-
 
 def smoothed_subgradient(
     oracle: SmoothedOracle, x: np.ndarray, rng: np.random.Generator
@@ -138,7 +135,7 @@ def smoothed_subgradient(
     truncates to the declared norm bound. Unbiased for the smoothed gradient up
     to the truncation tail.
     """
-    z = oracle.perturbation(rng)
+    z = sample_ball(oracle.n, oracle.epsilon, rng)
     # contiguous, so that sqrt(g @ g) is np.linalg.norm(g) bit for bit
     g = np.ascontiguousarray(oracle.inner(x + z, rng), dtype=float)
     if oracle.subgrad_bound is not None:

@@ -5,13 +5,14 @@ The recursive rule shrinks the steplength through gamma_k = gamma_{k-1} *
 by a factor theta whenever the transient error has decayed to the persistent
 level. Regime lengths are computed from the problem constants (eta, L, nu2, D2),
 not from observed samples, so every schedule is one array built up front and
-read in order by a StepSchedule.
+read in order by a StepSchedule. The cascading schedule's one representation is
+its regime table (csa_schedule), which also feeds the CSA bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -77,58 +78,13 @@ class CsaParams:
         return gamma**2 * self.nu2 / (1.0 - self.q(gamma))
 
 
-@dataclass(frozen=True)
-class CsaState:
-    """Active regime of the cascading schedule.
-
-    cumulative log-product log(prod_{j<t} q_j^{K_j}) is stored instead of the
-    raw product: K_j grows with t and the product underflows long before the
-    schedule stops being meaningful.
-    """
-
-    t: int
-    gamma_t: float
-    q_t: float
-    k_t: int
-    log_cum_product: float = 0.0
-
-
-def csa_phase1(params: CsaParams) -> tuple[int, float, int]:
-    """Initialization: find the first steplength whose persistent error fits in D^2.
-
-    Returns (ell, gamma0, K0) with gamma0 = gamma_init * theta^ell, ell the
-    smallest j such that D^2 > gamma0^2 nu2 / (1 - q(gamma0)), and K0 the last k
-    with q0^k D^2 still above that persistent level.
-    """
-    j = 0
-    gamma = params.gamma_init
-    while True:
-        # q >= 1 can only occur if gamma_init were outside (0, 2/L); guarded in
-        # CsaParams, but kept here so phase 1 never divides by a nonpositive gap
-        if params.q(gamma) < 1.0 and params.d2 > params.persistent(gamma):
-            break
-        j += 1
-        gamma = params.gamma_init * params.theta**j
-        if j > 100_000:
-            raise ConfigurationError("phase 1 failed to find a feasible steplength")
-    q0 = params.q(gamma)
-    k0 = _largest_k(q0, math.log(params.d2), params.persistent(gamma))
-    if k0 < 0:
-        # phase 1 guarantees k=0 satisfies the strict inequality
-        raise AssertionError("phase 1 invariant violated")
-    return j, gamma, k0
-
-
 def _largest_k(q: float, log_transient0: float, persistent: float) -> int:
     """Largest k >= 0 with q^k * exp(log_transient0) > persistent, or -1 if none.
 
-    Closed-form candidate from logs, then adjusted with the same float predicate
-    a brute-force scan would evaluate, so results agree with a scan exactly.
+    Needs q < 1. Closed-form candidate from logs, then adjusted with the same
+    float predicate a brute-force scan would evaluate, so results agree with a
+    scan exactly.
     """
-    if q >= 1.0:
-        # only reachable when eta*gamma underflows below float epsilon; the
-        # transient then never decays, so the regime is effectively final
-        return 2**62 if log_transient0 > math.log(persistent) else -1
     if q == 0.0:
         # q^k vanishes for every k >= 1, so only k = 0 can hold
         return 0 if _k_holds(q, 0, log_transient0, persistent) else -1
@@ -155,41 +111,6 @@ def _k_holds(q: float, k: int, log_transient0: float, persistent: float) -> bool
     return log_lhs > math.log(persistent)
 
 
-def csa_regime_length(state: CsaState, params: CsaParams) -> int:
-    """Length K_t of regime t >= 1.
-
-    K_t = max{k in Z+ : q_t^k * 2^t * prod_{j<t} q_j^{K_j} * D^2 >
-    gamma_t^2 nu2/(1-q_t)}; k=0 is included, and an empty set yields K_t = 1 so
-    no regime is skipped outright (minimum regime length of one iteration).
-    """
-    if state.t < 1:
-        raise ValueError("regime length recursion applies from t=1; phase 1 sets K0")
-    if state.q_t >= 1.0:
-        # eta*gamma underflowed below float epsilon (gamma at the clamp floor):
-        # the transient never decays, so the regime is effectively final
-        return 2**62
-    log_transient0 = (
-        state.t * math.log(2.0) + state.log_cum_product + math.log(params.d2)
-    )
-    k = _largest_k(state.q_t, log_transient0, params.persistent(state.gamma_t))
-    return k if k >= 0 else 1
-
-
-def _advance_regime(state: CsaState, params: CsaParams) -> CsaState:
-    gamma_next = state.gamma_t * params.theta
-    clamped = max(gamma_next, GAMMA_FLOOR)
-    nxt = CsaState(
-        t=state.t + 1,
-        gamma_t=clamped,
-        q_t=params.q(clamped),
-        k_t=0,
-        # a regime of length 0 contributes q^0 = 1, also when q = 0
-        log_cum_product=state.log_cum_product
-        + (state.k_t * math.log(state.q_t) if state.k_t else 0.0),
-    )
-    return replace(nxt, k_t=csa_regime_length(nxt, params))
-
-
 @dataclass(frozen=True)
 class CsaRegime:
     t: int
@@ -201,25 +122,47 @@ class CsaRegime:
 
 
 def csa_schedule(params: CsaParams, n_iters: int) -> list[CsaRegime]:
-    """Expanded regime table covering at least n_iters iterations."""
-    ell, gamma0, k0 = csa_phase1(params)
-    state = CsaState(t=0, gamma_t=gamma0, q_t=params.q(gamma0), k_t=k0)
+    """Regime table of the cascading schedule, covering at least n_iters
+    iterations.
+
+    Phase 1 takes gamma_0 = gamma_init * theta^j for the smallest j with
+    D^2 > gamma_0^2 nu2/(1 - q(gamma_0)). Regime t then runs K_t steps at
+    gamma_t, where K_t = max{k in Z+ : q_t^k * 2^t * prod_{j<t} q_j^{K_j} * D^2 >
+    gamma_t^2 nu2/(1 - q_t)} and gamma_{t+1} = max(theta * gamma_t, GAMMA_FLOOR).
+    For t >= 1 an empty set gives K_t = 1, so no regime is skipped outright;
+    a zero-length regime gets no row. The product is kept as its log, since it
+    underflows long before the schedule stops being meaningful.
+    """
+    j, gamma = 0, params.gamma_init
+    # q >= 1 (eta*gamma lost against 1 in rounding) has no persistent level;
+    # checking it first keeps phase 1 from dividing by a nonpositive gap
+    while not (params.q(gamma) < 1.0 and params.d2 > params.persistent(gamma)):
+        j += 1
+        if j > 100_000:
+            raise ConfigurationError("phase 1 failed to find a feasible steplength")
+        gamma = params.gamma_init * params.theta**j
     regimes: list[CsaRegime] = []
-    start = 0
+    t, start, log_cum = 0, 0, 0.0
     while start < n_iters:
-        if state.k_t > 0:
-            regimes.append(
-                CsaRegime(
-                    t=state.t,
-                    gamma=state.gamma_t,
-                    q=state.q_t,
-                    length=state.k_t,
-                    start=start,
-                    log_cum_product=state.log_cum_product,
-                )
-            )
-            start += state.k_t
-        state = _advance_regime(state, params)
+        q = params.q(gamma)
+        if q >= 1.0:
+            # eta*gamma is below float epsilon (as at the clamp floor): the
+            # transient never decays, so the regime is final
+            k = 2**62
+        else:
+            log_transient0 = t * math.log(2.0) + log_cum + math.log(params.d2)
+            k = _largest_k(q, log_transient0, params.persistent(gamma))
+            if k < 0:
+                if t == 0:
+                    # phase 1 guarantees k = 0 satisfies the strict inequality
+                    raise AssertionError("phase 1 invariant violated")
+                k = 1
+        if k > 0:
+            regimes.append(CsaRegime(t, gamma, q, k, start, log_cum))
+            start += k
+            log_cum += k * math.log(q)
+        t += 1
+        gamma = max(gamma * params.theta, GAMMA_FLOOR)
     return regimes
 
 
@@ -263,8 +206,3 @@ class StepSchedule:
         gamma = float(self.gammas[self.used])
         self.used += 1
         return gamma
-
-    @property
-    def clamped(self) -> bool:
-        """Whether a steplength handed out so far sits at GAMMA_FLOOR."""
-        return bool(np.any(self.gammas[: self.used] <= GAMMA_FLOOR))

@@ -3,10 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from adasa.harness import build_setup, resolve_config, run_replications
+from adasa.harness import _TAG_REFERENCE, build_setup, resolve_config, run_replications
 from adasa.problems import saa_reference
-
-_REFERENCE_TAG = 103
 
 
 def _run_suite(problem, seed, scheme_kwargs, **common):
@@ -18,7 +16,7 @@ def _run_suite(problem, seed, scheme_kwargs, **common):
     reference = saa_reference(
         setup.problem,
         sample_size=base.saa_samples,
-        seed=np.random.default_rng([seed, _REFERENCE_TAG]),
+        seed=np.random.default_rng([seed, _TAG_REFERENCE]),
     )
     suite = {"setup": setup, "reference": reference, "elapsed": {}}
     suite["elapsed"]["reference"] = time.time() - t0

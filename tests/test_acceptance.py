@@ -26,12 +26,7 @@ from adasa.smoothing import (
     sample_ball_batch,
     smoothing_lipschitz,
 )
-from adasa.steplength import (
-    CsaParams,
-    CsaState,
-    _advance_regime,
-    csa_phase1,
-)
+from adasa.steplength import GAMMA_FLOOR, CsaParams, csa_schedule
 
 
 def _report(num, ok, detail):
@@ -96,22 +91,35 @@ def test_criterion_03_generic_recursion_sums():
     assert _report(3, ok, f"max |sum gamma_k^2 - gamma0/c| = {worst:.3e} <= 1e-6")
 
 
-def _brute_force_regime_length(state, params):
-    cum = math.exp(state.log_cum_product)
-    transient0 = 2.0**state.t * cum * params.d2
-    persistent = params.persistent(state.gamma_t)
-    if not transient0 > persistent:
-        return 1
-    k = 0
-    while state.q_t ** (k + 1) * transient0 > persistent:
-        k += 1
-    return k
+def _brute_force_lengths(params, count):
+    """K_t for t < count by direct scans from a scanned phase 1, zero-length
+    regimes included."""
+    j = 0
+    while True:
+        gamma = params.gamma_init * params.theta**j
+        if params.q(gamma) < 1.0 and params.d2 > params.persistent(gamma):
+            break
+        j += 1
+    lengths, log_cum = [], 0.0
+    for t in range(count):
+        q = params.q(gamma)
+        transient0 = 2.0**t * math.exp(log_cum) * params.d2
+        persistent = params.persistent(gamma)
+        k = 1
+        if transient0 > persistent:
+            k = 0
+            while q ** (k + 1) * transient0 > persistent:
+                k += 1
+        lengths.append(k)
+        log_cum += k * math.log(q) if k else 0.0
+        gamma = max(gamma * params.theta, GAMMA_FLOOR)
+    return lengths
 
 
 def test_criterion_04_csa_epoch_oracle():
     params = CsaParams(gamma_init=0.1, theta=0.5, eta=1.0, lip=2.0, nu2=1.0, d2=1.0)
-    ell, gamma0, k0 = csa_phase1(params)
-    worked = params.q(gamma0) == pytest.approx(0.82) and k0 == 14
+    first = csa_schedule(params, 1)[0]
+    worked = first.t == 0 and first.q == pytest.approx(0.82) and first.length == 14
 
     rng = np.random.default_rng(300)
     checked, mismatches = 0, 0
@@ -126,15 +134,14 @@ def test_criterion_04_csa_epoch_oracle():
             nu2=rng.uniform(0.1, 5.0),
             d2=rng.uniform(0.3, 10.0),
         )
-        _, g0, k_init = csa_phase1(params)
-        state = CsaState(t=0, gamma_t=g0, q_t=params.q(g0), k_t=k_init)
-        for _ in range(3):
-            state = _advance_regime(state, params)
-            if state.k_t > 3_000_000:
-                break
-            if state.k_t != _brute_force_regime_length(state, params):
-                mismatches += 1
-            checked += 1
+        want = _brute_force_lengths(params, 4)
+        if max(want) > 3_000_000:
+            continue
+        # a zero-length regime has no row in the table
+        rows = csa_schedule(params, sum(want[:3]) + 1)
+        got = {r.t: r.length for r in rows}
+        mismatches += sum(got.get(t, 0) != k for t, k in enumerate(want[1:], 1))
+        checked += 3
     ok = worked and mismatches == 0 and checked >= 100
     assert _report(
         4, ok, f"worked instance K0=14: {worked}; {checked} random regimes, "

@@ -23,6 +23,7 @@ from adasa.harness import (
 )
 from adasa.problems import Reference
 from adasa.sa_core import Trajectory
+from adasa.steplength import GAMMA_FLOOR
 
 
 def _read_csv(path):
@@ -72,6 +73,21 @@ def _toy_trajectory(errors, gammas=None):
     return Trajectory(gammas=np.array(gammas, dtype=float),
                       squared_errors=np.array(errors, dtype=float),
                       terminal_squared_error=errors[-1], final_point=np.zeros(1))
+
+
+def _toy_result(errors, gammas, out="sa_run.csv"):
+    """Network/RSA result over toy trajectories, one row of errors each."""
+    reps, iters = errors.shape
+    config = ExperimentConfig("network", "rsa", n=1, iters=iters, eta=0.5,
+                              epsilon=0.5, replications=reps, out=out)
+    _, ci_lo, ci_hi = log_t_interval(errors)
+    return ExperimentResult(
+        config=config, trajectories=[_toy_trajectory(list(e), gammas) for e in errors],
+        gammas=np.array(gammas, dtype=float), bound=np.ones(iters),
+        mean_sq_error=errors.mean(axis=0), ci_lo=ci_lo, ci_hi=ci_hi,
+        terminal_errors=errors[:, -1], constants={},
+        reference=Reference(np.zeros(1), 0.0, True, 0), floored_zeros=False,
+    )
 
 
 class TestEmitCsv:
@@ -213,6 +229,12 @@ class TestRunReplications:
         assert meta["config"]["problem"] == "bimatrix"
         assert "rng" in meta
 
+    @pytest.mark.parametrize("last_gamma,clamped", [(0.05, False), (GAMMA_FLOOR, True)])
+    def test_clamp_flag_read_from_the_gammas(self, tmp_path, last_gamma, clamped):
+        result = _toy_result(np.array([[1.0, 0.5], [1.0, 0.25]]), [0.1, last_gamma])
+        meta_path = emit_metadata(result, str(tmp_path / "toy.csv"))
+        assert json.loads(open(meta_path).read())["clamped_steplengths"] is clamped
+
     def test_replication_failure_reports_seed(self):
         config = resolve_config("bimatrix", "rsa", n=4, iters=10, replications=2,
                                 seed=13)
@@ -325,6 +347,27 @@ class TestLayerHooks:
         assert counts.pop("sample_ball", 0) == balls * steps
         assert counts == {}
 
+    @pytest.mark.parametrize("problem", ["network", "bimatrix"])
+    def test_harness_looks_up_each_stage_per_replication(self, monkeypatch, problem):
+        # the benchmark times each trajectory by wrapping harness.run_sa /
+        # run_saddle_sa and the schedule and bound by wrapping make_policy and
+        # bound_trajectory, so run_replications must look each one up at call
+        # time: the engine and the policy once per replication, the bound once
+        counts = {}
+        for attr in ("run_sa", "run_saddle_sa", "make_policy", "bound_trajectory"):
+            inner = getattr(harness, attr)
+
+            def wrapper(*args, _attr=attr, _inner=inner, **kwargs):
+                counts[_attr] = counts.get(_attr, 0) + 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(harness, attr, wrapper)
+        config = resolve_config(problem, "csa", n=4, iters=5, replications=3, seed=1)
+        setup = harness.build_setup(config)
+        harness.run_replications(config, reference=_fixed_reference(setup), setup=setup)
+        engine = "run_saddle_sa" if setup.kind == "saddle" else "run_sa"
+        assert counts == {engine: 3, "make_policy": 3, "bound_trajectory": 1}
+
 class TestCiColumnsAudit:
     def test_log_ci_brackets_mean_on_transient_dominated_run(self):
         # a small-alpha harmonic run stays transient-dominated, so the error is
@@ -378,17 +421,7 @@ class TestReportedStatistics:
         # outside the log-domain interval, the geometric mean it brackets not
         terminal = np.array([1e-6] * 49 + [1.0])
         out = str(tmp_path / "toy.csv")
-        config = ExperimentConfig("network", "rsa", n=1, iters=1, eta=0.5,
-                                  epsilon=0.5, replications=terminal.size, out=out)
-        trajectories = [_toy_trajectory([e]) for e in terminal]
-        errors = terminal[:, None]
-        _, ci_lo, ci_hi = log_t_interval(errors)
-        toy = ExperimentResult(
-            config=config, trajectories=trajectories, gammas=np.array([0.1]),
-            bound=np.array([1.0]), mean_sq_error=errors.mean(axis=0), ci_lo=ci_lo,
-            ci_hi=ci_hi, terminal_errors=terminal, constants={},
-            reference=Reference(np.zeros(1), 0.0, True, 0), floored_zeros=False,
-        )
+        toy = _toy_result(terminal[:, None], [0.1], out=out)
         monkeypatch.setattr(adasa.cli, "run_replications", lambda config: toy)
         assert cli_main(["--problem", "network", "--scheme", "rsa", "--out", out]) == 0
 

@@ -430,7 +430,7 @@ class TestBimatrixProblem:
         rng = np.random.default_rng(8)
         for _ in range(20):
             gx, _ = problem.sampled_gradient(np.full(5, 0.2), y, rng)
-            assert np.array_equal(gx, problem.matrix[:, 2])
+            assert np.array_equal(gx, problem.matrix[2])
 
     def test_simplex_weights_equal_coordinates(self):
         rng = np.random.default_rng(9)
@@ -444,20 +444,44 @@ class TestBimatrixProblem:
         assert np.allclose(w, shifted / shifted.sum())
 
     def test_zero_mean_sampled_gradient(self):
-        problem = BimatrixProblem(n=8, eta=0.01, epsilon=0.2)
+        # the paper's symmetric matrix, and a non-symmetric one on which drawing
+        # a column for x (mean Ay) instead of a row (mean A^T y) is caught
         rng = np.random.default_rng(10)
-        x = rng.dirichlet(np.ones(8))
-        y = rng.dirichlet(np.ones(8))
-        m = 100_000
-        draws = np.empty((m, 16))
-        for i in range(m):
-            gx, gy = problem.sampled_gradient(x, y, rng)
-            draws[i, :8] = gx
-            draws[i, 8:] = gy
-        exact = np.concatenate(problem.exact_gradient(x, y))
-        err = np.linalg.norm(draws.mean(axis=0) - exact)
-        tol = 3.0 * math.sqrt(draws.var(axis=0).sum() / m)
-        assert err <= tol
+        for matrix in (None, rng.uniform(size=(8, 8))):
+            problem = BimatrixProblem(n=8, eta=0.01, epsilon=0.2, matrix=matrix)
+            x = rng.dirichlet(np.ones(8))
+            y = rng.dirichlet(np.ones(8))
+            m = 100_000
+            draws = np.empty((m, 16))
+            for i in range(m):
+                gx, gy = problem.sampled_gradient(x, y, rng)
+                draws[i, :8] = gx
+                draws[i, 8:] = gy
+            exact = np.concatenate(problem.exact_gradient(x, y))
+            err = np.linalg.norm(draws.mean(axis=0) - exact)
+            tol = 3.0 * math.sqrt(draws.var(axis=0).sum() / m)
+            assert err <= tol
+
+    def test_oracle_means_match_reference_operator(self):
+        # at a negligible smoothing radius the engine's oracle and the pilot's
+        # block draws are unbiased for build_saa's operator, whose y-part is
+        # the descent direction (the oracle's is the ascent one)
+        rng = np.random.default_rng(12)
+        n = 5
+        problem = BimatrixProblem(
+            n=n, eta=0.2, epsilon=1e-9, matrix=rng.uniform(size=(n, n))
+        )
+        x = rng.dirichlet(np.ones(n))
+        y = rng.dirichlet(np.ones(n))
+        op_x, op_y = problem.build_saa(1, rng).operator(x, y)
+        exact = np.concatenate([op_x, -op_y])
+        oracle = problem.run_oracle()
+        m = 50_000
+        engine = np.array([np.concatenate(oracle(x, y, rng)) for _ in range(m)])
+        pilot = problem.oracle_samples(x, y, m, rng)
+        for draws in (engine, pilot):
+            err = np.linalg.norm(draws.mean(axis=0) - exact)
+            assert err <= 3.0 * math.sqrt(draws.var(axis=0).sum() / m)
 
     def test_regularized_secant_inequalities(self):
         # eta-strong convexity in x and eta-strong concavity in y

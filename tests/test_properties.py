@@ -15,6 +15,7 @@ from scipy.special import ndtr
 from adasa.bounds import csa_bound_trajectory
 from adasa import problems
 from adasa.problems import project_capacity, project_simplex
+from adasa.sa_core import run_sa
 from adasa.smoothing import sample_ball
 from adasa.steplength import (
     GAMMA_FLOOR,
@@ -74,6 +75,17 @@ def test_csa_steps_drop_exactly_at_regime_starts(params, n):
 
 
 @SETTINGS
+@given(params=csa_params(), n1=st.integers(1, 3000), extra=st.integers(1, 3000))
+@example(params=CsaParams(1.0, 0.5, 1.0, 1.0, 1.0, 2.0), n1=1, extra=1)
+# theta*gamma0 falls below GAMMA_FLOOR: the clamped regime has q = 1 and is final
+@example(params=CsaParams(0.3, 1e-300, 0.9, 2.2, 1.0, 2.0), n1=1, extra=3000)
+def test_csa_schedule_rows_are_a_prefix_of_longer_schedules(params, n1, extra):
+    short = csa_schedule(params, n1)
+    longer = csa_schedule(params, n1 + extra)
+    assert longer[: len(short)] == short
+
+
+@SETTINGS
 @given(alpha=st.floats(1e-6, 1e3), n=st.integers(2, 100))
 def test_hsa_steps_reuse_alpha_at_step_zero(alpha, n):
     steps = hsa_steps(alpha, n)
@@ -92,7 +104,14 @@ def test_step_schedule_reads_in_order_and_flags_the_floor(gammas, data):
     used = data.draw(st.integers(0, len(gammas)))
     policy = StepSchedule(np.array(gammas))
     assert [policy.next_gamma() for _ in range(used)] == gammas[:used]
-    assert policy.clamped == (GAMMA_FLOOR in gammas[:used])
+    # the engine records every steplength it used; the run's clamp flag is
+    # read from that record
+    traj = run_sa(
+        lambda x, rng: np.zeros(1), None, StepSchedule(np.array(gammas)),
+        np.zeros(1), len(gammas), np.zeros(1), np.random.default_rng(0),
+    )
+    assert traj.gammas.tolist() == gammas
+    assert bool(np.any(traj.gammas <= GAMMA_FLOOR)) == (GAMMA_FLOOR in gammas)
 
 
 @SETTINGS

@@ -6,12 +6,9 @@ import pytest
 from adasa.harness import ExperimentConfig, make_policy
 from adasa.steplength import (
     CsaParams,
-    CsaState,
+    CsaRegime,
     GAMMA_FLOOR,
     StepSchedule,
-    _advance_regime,
-    csa_phase1,
-    csa_regime_length,
     csa_schedule,
     csa_steps,
     hsa_steps,
@@ -129,28 +126,28 @@ class TestRsaMonotoneDecay:
         assert np.all(np.diff(steps) < 0.0)
         policy = StepSchedule(steps)
         assert [policy.next_gamma() for _ in range(steps.size)] == steps.tolist()
-        assert not policy.clamped
+        assert steps[-1] > GAMMA_FLOOR
 
 
 class TestCsaPhase1:
     def test_no_reduction_needed(self):
         params = CsaParams(gamma_init=0.5, theta=0.5, eta=1.0, lip=2.0, nu2=1.0, d2=1.0)
-        ell, gamma0, k0 = csa_phase1(params)
-        assert ell == 0 and gamma0 == 0.5
-        # q(0.5)=0.5, persistent 0.25/0.5=0.5 < 1, and 0.5^1*1 = pers exactly
-        assert k0 == 0
+        first = csa_schedule(params, 1)[0]
+        # gamma0 = 0.5 is feasible: q(0.5)=0.5, persistent 0.25/0.5=0.5 < 1; but
+        # 0.5^1*1 = pers exactly, so K0 = 0 and the table starts at t = 1
+        assert first.t == 1 and first.gamma == 0.5 * 0.5
+        assert first.start == 0 and first.log_cum_product == 0.0
 
     def test_worked_instance(self):
         params = CsaParams(gamma_init=0.1, theta=0.5, eta=1.0, lip=2.0, nu2=1.0, d2=1.0)
-        ell, gamma0, k0 = csa_phase1(params)
-        assert ell == 0
-        assert params.q(gamma0) == pytest.approx(0.82)
-        assert params.persistent(gamma0) == pytest.approx(1.0 / 18.0)
-        assert k0 == 14
+        first = csa_schedule(params, 1)[0]
+        assert first.t == 0 and first.gamma == 0.1
+        assert first.q == pytest.approx(0.82)
+        assert params.persistent(first.gamma) == pytest.approx(1.0 / 18.0)
+        assert first.length == 14
 
     def test_tiny_diameter_forces_reduction(self):
         params = CsaParams(gamma_init=0.5, theta=0.5, eta=1.0, lip=2.0, nu2=1.0, d2=0.01)
-        ell, gamma0, _ = csa_phase1(params)
         j = 0
         while True:
             g = 0.5 * 0.5**j
@@ -158,24 +155,52 @@ class TestCsaPhase1:
             if q < 1.0 and 0.01 > g * g / (1.0 - q):
                 break
             j += 1
-        assert ell == j
-        assert gamma0 == 0.5 * 0.5**ell
+        assert j > 0
+        first = csa_schedule(params, 1)[0]
+        # powers of two: gamma_t = gamma0 * theta^t exactly, also when K0 = 0
+        assert first.gamma == 0.5 * 0.5 ** (j + first.t)
 
 
-def _brute_force_regime_length(state: CsaState, params: CsaParams) -> int:
-    cum = math.exp(state.log_cum_product)
-    transient0 = 2.0**state.t * cum * params.d2
-    persistent = params.persistent(state.gamma_t)
-    if not state.q_t**0 * transient0 > persistent:
-        return 1
-    k = 0
-    while state.q_t ** (k + 1) * transient0 > persistent:
-        k += 1
-    return k
+def _brute_force_regimes(params: CsaParams, count: int) -> list[tuple]:
+    """(t, gamma_t, q_t, K_t, log prod_{j<t} q_j^{K_j}) for t < count by direct
+    scans: phase 1 tries gamma_init*theta^j in turn, and K_t counts k up from 0
+    (an empty set gives K_t = 1 for t >= 1)."""
+    j = 0
+    while True:
+        gamma = params.gamma_init * params.theta**j
+        if params.q(gamma) < 1.0 and params.d2 > params.persistent(gamma):
+            break
+        j += 1
+    out, log_cum = [], 0.0
+    for t in range(count):
+        q = params.q(gamma)
+        transient0 = 2.0**t * math.exp(log_cum) * params.d2
+        persistent = params.persistent(gamma)
+        k = 1
+        if transient0 > persistent:
+            k = 0
+            while q ** (k + 1) * transient0 > persistent:
+                k += 1
+        out.append((t, gamma, q, k, log_cum))
+        log_cum += k * math.log(q) if k else 0.0
+        gamma = max(gamma * params.theta, GAMMA_FLOOR)
+    return out
+
+
+def _as_table(regimes: list[tuple]) -> list[CsaRegime]:
+    """Rows for the nonzero-length regimes, with their global start indices."""
+    table, start = [], 0
+    for t, gamma, q, k, log_cum in regimes:
+        if k > 0:
+            table.append(CsaRegime(t, gamma, q, k, start, log_cum))
+            start += k
+    return table
 
 
 class TestCsaRegimeLength:
     def test_matches_brute_force_on_random_schedules(self):
+        # every row of the first five regimes, zero-length regimes (no row)
+        # included, against the scan
         rng = np.random.default_rng(17)
         checked = 0
         while checked < 40:
@@ -189,14 +214,13 @@ class TestCsaRegimeLength:
                 nu2=rng.uniform(0.1, 4.0),
                 d2=rng.uniform(0.5, 8.0),
             )
-            ell, gamma0, k0 = csa_phase1(params)
-            state = CsaState(t=0, gamma_t=gamma0, q_t=params.q(gamma0), k_t=k0)
-            for _ in range(4):
-                state = _advance_regime(state, params)
-                if state.k_t > 2_000_000:
-                    break
-                assert state.k_t == _brute_force_regime_length(state, params)
-                checked += 1
+            regimes = _brute_force_regimes(params, 5)
+            if max(k for *_, k, _ in regimes) > 2_000_000:
+                continue
+            want = _as_table(regimes)
+            got = csa_schedule(params, sum(r.length for r in want) - want[-1].length + 1)
+            assert [r for r in got if r.t < 5] == want
+            checked += len(regimes) - 1
 
     def test_theta_near_one_shrinks_regimes(self):
         # strong contraction instance: q is small, so a conservative theta
@@ -206,11 +230,12 @@ class TestCsaRegimeLength:
             params = CsaParams(
                 gamma_init=0.5, theta=theta, eta=1.8, lip=2.0, nu2=1.0, d2=1.0
             )
-            _, gamma0, k0 = csa_phase1(params)
-            state = CsaState(t=0, gamma_t=gamma0, q_t=params.q(gamma0), k_t=k0)
-            return _advance_regime(state, params).k_t
+            rows = csa_schedule(params, 1)
+            assert rows[-1].t >= 1
+            return sum(r.length for r in rows if r.t == 1)
 
-        # K_t nonincreasing as theta grows, reaching 0 near theta = 1
+        # K_t nonincreasing as theta grows; near theta = 1 the t = 1 regime has
+        # length 0, so it gets no row
         lengths = [first_regime_length(th) for th in (0.3, 0.6, 0.9, 0.9999)]
         assert all(a >= b for a, b in zip(lengths, lengths[1:]))
         assert lengths[-1] == 0
@@ -218,16 +243,19 @@ class TestCsaRegimeLength:
 
     def test_closed_form_upper_bound(self):
         params = CsaParams(gamma_init=0.4, theta=0.5, eta=0.8, lip=2.5, nu2=1.2, d2=3.0)
-        ell, gamma0, k0 = csa_phase1(params)
-        state = CsaState(t=0, gamma_t=gamma0, q_t=params.q(gamma0), k_t=k0)
-        for _ in range(8):
-            state = _advance_regime(state, params)
-            t = state.t
+        schedule = csa_schedule(params, 10**6)
+        assert schedule[-1].t > 8
+        gamma0 = params.gamma_init  # phase 1 keeps gamma_init on this instance
+        assert schedule[0].t == 0 and schedule[0].gamma == gamma0
+        for regime in schedule:
+            t = regime.t
+            if not 1 <= t <= 8:
+                continue
             cap = math.log(
                 gamma0**2 * (params.theta**2 / 2.0) ** t * params.nu2
-                / (params.d2 * (1.0 - state.q_t))
-            ) / math.log(state.q_t)
-            assert state.k_t <= cap + 1e-9
+                / (params.d2 * (1.0 - regime.q))
+            ) / math.log(regime.q)
+            assert regime.length <= cap + 1e-9
 
 
 class TestCsaGamma:
@@ -250,17 +278,18 @@ class TestCsaGamma:
         assert list(drops) == starts
 
     def test_functional_api_matches_policy(self):
-        # walking the regimes with csa_phase1/_advance_regime, each gamma_t
-        # repeated K_t times (zero-length regimes skipped), gives the policy's
-        # stream
+        # the rows tile the iterations in order, and each gamma_t repeated K_t
+        # times gives the policy's stream
         params = self._params()
-        ell, gamma0, k0 = csa_phase1(params)
-        state = CsaState(t=0, gamma_t=gamma0, q_t=params.q(gamma0), k_t=k0)
+        schedule = csa_schedule(params, 500)
+        assert [r.start for r in schedule] == np.cumsum(
+            [0] + [r.length for r in schedule[:-1]]
+        ).tolist()
+        assert [r.t for r in schedule] == sorted({r.t for r in schedule})
         walked = []
-        while len(walked) < 500:
-            walked += [state.gamma_t] * min(state.k_t, 500)
-            state = _advance_regime(state, params)
-        policy = StepSchedule(csa_steps(csa_schedule(params, 500), 500))
+        for regime in schedule:
+            walked += [regime.gamma] * min(regime.length, 500)
+        policy = StepSchedule(csa_steps(schedule, 500))
         for gamma in walked[:500]:
             assert gamma == policy.next_gamma()
 
@@ -277,12 +306,10 @@ class TestCsaGamma:
         # product tracks the persistent level, cancelling the 2^t factors), so
         # the partial sums grow linearly without bound
         params = self._params()
-        ell, gamma0, k0 = csa_phase1(params)
-        state = CsaState(t=0, gamma_t=gamma0, q_t=params.q(gamma0), k_t=k0)
-        lengths = [k0]
-        for _ in range(30):
-            state = _advance_regime(state, params)
-            lengths.append(state.k_t)
+        schedule = csa_schedule(params, 2**40)
+        assert schedule[-1].t >= 30
+        by_t = {r.t: r.length for r in schedule}
+        lengths = [by_t.get(t, 0) for t in range(31)]  # no row: length 0
         theta = params.theta
         s1 = np.array([k * theta**j for j, k in enumerate(lengths)])
         s2 = np.array([k * theta ** (2 * j) for j, k in enumerate(lengths)])
@@ -294,10 +321,15 @@ class TestCsaGamma:
 
 class TestNumericalFloor:
     def test_advance_clamps_at_floor(self):
-        params = CsaParams(gamma_init=0.3, theta=0.5, eta=0.9, lip=2.2, nu2=1.0, d2=2.0)
-        state = CsaState(t=3, gamma_t=1.5e-300, q_t=1.0 - 1e-16, k_t=5)
-        nxt = _advance_regime(state, params)
-        assert nxt.gamma_t == GAMMA_FLOOR
+        # theta*gamma0 = 3e-301 is clamped to GAMMA_FLOOR, where q = 1: the
+        # transient never decays, so that regime is final and effectively endless
+        params = CsaParams(gamma_init=0.3, theta=1e-300, eta=0.9, lip=2.2, nu2=1.0, d2=2.0)
+        schedule = csa_schedule(params, 10**6)
+        last = schedule[-1]
+        assert [r.t for r in schedule] == [0, 1]
+        assert last.gamma == GAMMA_FLOOR and last.q == 1.0
+        assert last.length == 2**62
+        assert csa_steps(schedule, 10**6)[-1] == GAMMA_FLOOR
 
     def test_rsa_policy_floor_flag(self):
         # c*gamma0 = 1/2: the next value 0.75e-300 falls below the floor, and so
@@ -305,8 +337,4 @@ class TestNumericalFloor:
         gamma0 = 1.5e-300
         steps = rsa_steps(gamma0, 0.5 / gamma0, 3)
         assert steps.tolist() == [gamma0, GAMMA_FLOOR, GAMMA_FLOOR]
-        policy = StepSchedule(steps)
-        policy.next_gamma()
-        assert not policy.clamped
-        policy.next_gamma()
-        assert policy.clamped
+        assert (steps <= GAMMA_FLOOR).tolist() == [False, True, True]
