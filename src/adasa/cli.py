@@ -15,6 +15,7 @@ from .harness import (
     resolve_config,
     run_replications,
 )
+from .steplength import ConfigurationError
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -81,7 +82,11 @@ def main(argv: list[str] | None = None) -> int:
     out = settings.pop("out", "sa_run.csv")
     config = resolve_config(problem, scheme, out=out, **settings)
 
-    result = run_replications(config)
+    try:
+        result = run_replications(config)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     emit_csv(result.trajectories, result.bound, config.out)
     meta_path = emit_metadata(result, config.out)
 

@@ -28,6 +28,7 @@ from .problems import (
 from .sa_core import Trajectory, run_sa, run_saddle_sa
 from .smoothing import (
     SmoothedOracle,
+    row_norms,
     smoothed_subgradient,
     smoothing_lipschitz,
     truncate_rows,
@@ -187,7 +188,7 @@ def _setup_bimatrix(config: ExperimentConfig) -> RunSetup:
     x0 = np.full(config.n, 1.0 / config.n)
     pilot = problem.oracle_samples(x0, x0, _PILOT_SIZE, pilot_rng)
     constants = {
-        "C": float(np.percentile(np.linalg.norm(pilot, axis=1), 99.9) * 1.25),
+        "C": float(np.percentile(row_norms(pilot), 99.9) * 1.25),
         "nu2": _pilot_noise_bound(pilot),
         "lip": problem.lipschitz(),
         "eta": config.eta,

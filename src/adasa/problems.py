@@ -10,27 +10,36 @@ objective whose minimizer serves as the reference for error curves.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.special import ndtr
 
-from .smoothing import sample_ball, sample_ball_batch
+from .smoothing import ROW_BLOCK, row_norms, sample_ball, sample_ball_batch
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # a relative change of F this small is rounding, too small for Armijo to rank
 # two points (near x* the utility F meets its quadratic model to ~3e-16)
 _VALUE_ROUNDING = 1e-14
-# rows per pass of the utility Hessian, so no m-length temporary outlives one
-_HESSIAN_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
 # projections
+
+
+@functools.cache
+def _nnls():
+    """scipy.optimize.nnls, imported on the first call. Only the capacity
+    projection needs scipy.optimize, which costs ~0.17 s and ~23 MB to load,
+    so utility and bimatrix runs never load it; NetworkProblem makes the first
+    call while it is built, so no projection pays for the import."""
+    from scipy.optimize import nnls
+
+    return nnls
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -72,7 +81,7 @@ def project_capacity(
     e = np.vstack([np.hstack([np.eye(n), -a_rows.T]), np.concatenate([-v, excess])])
     f = np.zeros(n + 1)
     f[n] = 1.0
-    w, _ = nnls(e, f)
+    w, _ = _nnls()(e, f)
     r = e @ w - f
     # ||r||^2 = -r[n] at the NNLS optimum, so the empty set's r = 0 shows as
     # an r[n] within the rounding of h^T w - 1
@@ -469,7 +478,7 @@ class UtilityProblem:
         truncates at this estimate, taken at the barycenter.
         """
         center = np.full(self.n, 1.0 / self.n)
-        norms = np.linalg.norm(self.subgradient_samples(center, pilot_size, rng), axis=1)
+        norms = row_norms(self.subgradient_samples(center, pilot_size, rng))
         return float(np.percentile(norms, percentile) * inflation)
 
     def subgradient_samples(
@@ -478,21 +487,22 @@ class UtilityProblem:
         """m samples of the inner oracle at ball-perturbed copies of x, one per
         row: the xi block, then the ball block, drawn at once.
 
-        In place, so only two m x n arrays are live at once; each operation
-        keeps its operands, so the rows are bitwise those of the out-of-place
-        formula the tests keep.
+        In place and a block of rows at a time, so only the two m x n draws
+        are live at full size; each operation keeps its operands and works
+        row by row, so the rows are bitwise those of the out-of-place formula
+        the tests keep.
         """
         coeff = rng.standard_normal((m, self.n))
         points = sample_ball_batch(m, self.n, self.epsilon, rng)
-        points += x
-        coeff += self.coeff_base
-        t = np.einsum("ij,ij->i", coeff, points)
-        active = np.argmax(
-            self.intercepts[None, :] + self.slopes[None, :] * t[:, None], axis=1
-        )
-        coeff *= self.slopes[active][:, None]
-        points *= self.eta
-        coeff += points
+        for lo in range(0, m, ROW_BLOCK):
+            c, p = coeff[lo : lo + ROW_BLOCK], points[lo : lo + ROW_BLOCK]
+            p += x
+            c += self.coeff_base
+            t = np.einsum("ij,ij->i", c, p)
+            active = np.argmax(self.intercepts + self.slopes * t[:, None], axis=1)
+            c *= self.slopes[active][:, None]
+            p *= self.eta
+            c += p
         return coeff
 
     def build_saa(self, sample_size: int, rng: np.random.Generator) -> SaaMinimization:
@@ -539,8 +549,8 @@ class UtilityProblem:
             a_x, x_x = a @ x, x @ x
             sum_c = sum_e = sum_d = 0.0
             ez, dz, dzz = np.zeros(n), np.zeros(n), np.zeros((n, n))
-            for lo in range(0, sample_size, _HESSIAN_CHUNK):
-                zc = z_samples[lo : lo + _HESSIAN_CHUNK]
+            for lo in range(0, sample_size, ROW_BLOCK):
+                zc = z_samples[lo : lo + ROW_BLOCK]
                 hi = lo + zc.shape[0]
                 mu = z_a[lo:hi] + a_x
                 sig = np.maximum(
@@ -782,6 +792,7 @@ class NetworkProblem:
             # a user crossing no link makes the cost unbounded below
             raise ValueError("every user must cross at least one link")
         self._gram = self.link_matrix.T @ self.link_matrix
+        _nnls()  # scipy.optimize loads with the problem, not in a projection
 
     @classmethod
     def from_seed(

@@ -20,6 +20,22 @@ import numpy as np
 Oracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 LOG_DOUBLE_FACTORIAL_CUTOFF = 150  # beyond this n!! overflows float64
+# rows per block of a pass over an m x n sample, so its temporaries stay near
+# 1 MB however large m is; the utility Hessian adds its sums block by block, so
+# this value is also part of the utility reference's bits
+ROW_BLOCK = 8192
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1), a block of rows at a time.
+
+    Each row is reduced on its own, so the bits are those of the one-call form
+    while only a block's squares, not an m x n copy, are ever live.
+    """
+    out = np.empty(a.shape[0])
+    for lo in range(0, a.shape[0], ROW_BLOCK):
+        out[lo : lo + ROW_BLOCK] = np.linalg.norm(a[lo : lo + ROW_BLOCK], axis=1)
+    return out
 
 
 def sample_ball(n: int, epsilon: float, rng: np.random.Generator) -> np.ndarray:
@@ -48,7 +64,7 @@ def sample_ball_batch(
 ) -> np.ndarray:
     """m independent uniform ball draws, one per row."""
     directions = rng.standard_normal((m, n))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms = row_norms(directions)[:, None]
     norms[norms == 0.0] = 1.0
     radii = epsilon * rng.uniform(size=(m, 1)) ** (1.0 / n)
     directions *= radii / norms
@@ -148,7 +164,7 @@ def smoothed_subgradient(
 def truncate_rows(g: np.ndarray, bound: float) -> np.ndarray:
     """smoothed_subgradient's truncation applied to each row of g, in place:
     rows with norm above bound are rescaled onto the ball of that radius."""
-    norms = np.linalg.norm(g, axis=1)
+    norms = row_norms(g)
     over = norms > bound
     g[over] *= (bound / norms[over])[:, None]
     return g

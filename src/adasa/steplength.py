@@ -75,7 +75,12 @@ class CsaParams:
         return q_factor(gamma, self.eta, self.lip)
 
     def persistent(self, gamma: float) -> float:
-        return gamma**2 * self.nu2 / (1.0 - self.q(gamma))
+        gap = 1.0 - self.q(gamma)
+        if gap == 0.0:
+            # eta*gamma lost against 1 in rounding (as at the clamp floor):
+            # the same quantity with the gap's factor gamma cancelled
+            return gamma * self.nu2 / (self.eta * (2.0 - gamma * self.lip))
+        return gamma**2 * self.nu2 / gap
 
 
 def _largest_k(q: float, log_transient0: float, persistent: float) -> int:
@@ -134,13 +139,17 @@ def csa_schedule(params: CsaParams, n_iters: int) -> list[CsaRegime]:
     underflows long before the schedule stops being meaningful.
     """
     j, gamma = 0, params.gamma_init
-    # q >= 1 (eta*gamma lost against 1 in rounding) has no persistent level;
-    # checking it first keeps phase 1 from dividing by a nonpositive gap
+    # at q = 1 (eta*gamma lost against 1 in rounding) the transient never
+    # decays, so phase 1 passes over such a gamma; once gamma underflows to 0
+    # no smaller one is left to try
     while not (params.q(gamma) < 1.0 and params.d2 > params.persistent(gamma)):
         j += 1
-        if j > 100_000:
-            raise ConfigurationError("phase 1 failed to find a feasible steplength")
         gamma = params.gamma_init * params.theta**j
+        if j > 100_000 or gamma == 0.0:
+            raise ConfigurationError(
+                f"phase 1 failed to find a feasible steplength (gamma_init * "
+                f"theta^{j} = {gamma:.3g})"
+            )
     regimes: list[CsaRegime] = []
     t, start, log_cum = 0, 0, 0.0
     while start < n_iters:

@@ -403,6 +403,24 @@ class TestCli:
         assert cli_main(["--scheme", "rsa"]) == 2
         assert "required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", ["1e-20", "1e-300"])
+    def test_csa_run_with_an_endless_regime_finishes(self, tmp_path, theta):
+        # theta 1e-20 drops eta*gamma below float epsilon, so q rounds to 1;
+        # theta 1e-300 also clamps the steplength at GAMMA_FLOOR
+        out = str(tmp_path / "out.csv")
+        argv = ["--problem", "network", "--scheme", "csa", "--theta", theta]
+        assert cli_main(argv + ["--iters", "40", "--replications", "2", "--out", out]) == 0
+        _, rows = _read_csv(out)
+        assert np.all(np.isfinite(np.array(rows, dtype=float)[:, 5]))
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["clamped_steplengths"] is (theta == "1e-300")
+
+    def test_configuration_error_is_reported_without_a_traceback(self, tmp_path, capsys):
+        out = str(tmp_path / "out.csv")
+        argv = ["--problem", "network", "--scheme", "csa", "--theta", "1.5"]
+        assert cli_main(argv + ["--iters", "5", "--replications", "2", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: theta=1.5 outside (0, 1)\n"
+
     def test_unknown_config_key_names_it(self, tmp_path):
         # exact flag names only: an abbreviation the parser would accept on the
         # command line is still an unknown key in the file

@@ -103,18 +103,32 @@ def test_cycle_finder_sees_a_cycle_and_skips_type_checking_blocks():
     assert found == {"v", "x", "y"}
 
 
+_SCIPY_LOADS = """
+import sys
+import adasa.cli
+from adasa import harness
+
+print("scipy.stats" in sys.modules, "scipy.optimize" in sys.modules)
+for problem in ("utility", "bimatrix", "network"):
+    harness.build_setup(harness.resolve_config(problem, "rsa"))
+    print(problem, "scipy.optimize" in sys.modules)
+"""
+
+
 def test_cli_import_leaves_scipy_stats_out():
+    """The CLI never loads scipy.stats, and only the network problem, while
+    its setup is built, loads scipy.optimize."""
     src = str(PACKAGE.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, adasa.cli; print('scipy.stats' in sys.modules)"],
+    lines = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LOADS],
         env=env,
         check=True,
         capture_output=True,
         text=True,
-    ).stdout.strip()
-    assert loaded == "False"
+    ).stdout.splitlines()
+    assert lines == ["False False", "utility False", "bimatrix False", "network True"]
 
 
 def test_log_t_interval_matches_scipy_stats_quantile_bitwise():

@@ -603,6 +603,20 @@ class TestBatchedDraws:
         assert 0 < capped.sum() < m
 
 
+    def test_utility_samples_equal_the_unblocked_formula_bitwise(self):
+        problem = UtilityProblem.from_seed(20, eta=0.5, epsilon=0.5, seed=4)
+        m = 2 * smoothing.ROW_BLOCK + 3
+        x = np.random.default_rng(24).dirichlet(np.ones(20))
+        rng = np.random.default_rng(25)
+        coeff = problem.coeff_base + rng.standard_normal((m, 20))
+        points = x + smoothing.sample_ball_batch(m, 20, problem.epsilon, rng)
+        t = np.einsum("ij,ij->i", coeff, points)
+        active = np.argmax(problem.intercepts + problem.slopes * t[:, None], axis=1)
+        want = problem.slopes[active][:, None] * coeff + problem.eta * points
+        got = problem.subgradient_samples(x, m, np.random.default_rng(25))
+        assert np.array_equal(got, want)
+
+
 class TestNetworkProblem:
     def test_gradient_at_origin(self):
         a = np.array([[1.0, 0.0], [1.0, 1.0]])

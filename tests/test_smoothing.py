@@ -4,16 +4,35 @@ import numpy as np
 import pytest
 
 from adasa.smoothing import (
+    ROW_BLOCK,
     SmoothedOracle,
     ball_volume_coeff,
     double_factorial,
     double_factorial_ratio,
     log_double_factorial,
+    row_norms,
     sample_ball,
     sample_ball_batch,
     smoothed_subgradient,
     smoothing_lipschitz,
 )
+
+
+@pytest.mark.parametrize("m", [5, ROW_BLOCK - 1, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+def test_row_norms_equal_the_one_call_norm_bitwise(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, 20)) * rng.lognormal(0.0, 3.0, (m, 1))
+    assert np.array_equal(row_norms(a), np.linalg.norm(a, axis=1))
+
+
+def test_ball_batch_equals_the_unblocked_draw_bitwise():
+    m, n, eps = 2 * ROW_BLOCK + 3, 20, 0.5
+    rng = np.random.default_rng(8)
+    directions = rng.standard_normal((m, n))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = eps * rng.uniform(size=(m, 1)) ** (1.0 / n)
+    want = directions * (radii / norms)
+    assert np.array_equal(sample_ball_batch(m, n, eps, np.random.default_rng(8)), want)
 
 
 class TestBallSampling:

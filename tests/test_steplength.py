@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from adasa.bounds import csa_bound_trajectory
 from adasa.harness import ExperimentConfig, make_policy
 from adasa.steplength import (
+    ConfigurationError,
     CsaParams,
     CsaRegime,
     GAMMA_FLOOR,
@@ -330,6 +332,23 @@ class TestNumericalFloor:
         assert last.gamma == GAMMA_FLOOR and last.q == 1.0
         assert last.length == 2**62
         assert csa_steps(schedule, 10**6)[-1] == GAMMA_FLOOR
+
+    def test_persistent_level_is_finite_where_q_rounds_to_one(self):
+        # 1 - q(GAMMA_FLOOR) is 0 in floats; the limit gamma nu2/(eta(2 - gamma L))
+        # stands in, and the bound along the clamped schedule stays finite
+        params = CsaParams(gamma_init=0.3, theta=1e-300, eta=0.9, lip=2.2, nu2=1.0, d2=2.0)
+        assert params.q(GAMMA_FLOOR) == 1.0
+        want = GAMMA_FLOOR * 1.0 / (0.9 * (2.0 - GAMMA_FLOOR * 2.2))
+        assert params.persistent(GAMMA_FLOOR) == want > 0.0
+        schedule = csa_schedule(params, 100)
+        bound = csa_bound_trajectory(schedule, params, 100)
+        assert np.all(np.isfinite(bound)) and bound[-1] > want
+
+    def test_phase1_underflow_is_a_configuration_error(self):
+        # gamma_init*theta is too small for q < 1 and gamma_init*theta^2 is 0
+        params = CsaParams(gamma_init=0.1, theta=1e-200, eta=1.0, lip=1.0, nu2=1.0, d2=1e-3)
+        with pytest.raises(ConfigurationError, match="phase 1 failed"):
+            csa_schedule(params, 10)
 
     def test_rsa_policy_floor_flag(self):
         # c*gamma0 = 1/2: the next value 0.75e-300 falls below the floor, and so
