@@ -80,9 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     if "eps" in settings:
         settings["epsilon"] = settings.pop("eps")
     out = settings.pop("out", "sa_run.csv")
-    config = resolve_config(problem, scheme, out=out, **settings)
-
     try:
+        config = resolve_config(problem, scheme, out=out, **settings)
         result = run_replications(config)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

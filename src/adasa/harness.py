@@ -9,6 +9,7 @@ log-domain confidence intervals, and the scheme's theoretical bound curve.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -35,6 +36,7 @@ from .smoothing import (
 )
 from .steplength import (
     GAMMA_FLOOR,
+    ConfigurationError,
     CsaParams,
     StepSchedule,
     csa_schedule,
@@ -78,19 +80,21 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}")
+            raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.replications < 1:
-            raise ValueError("replications must be >= 1 (>= 2 for CIs)")
+            raise ConfigurationError("replications must be >= 1 (>= 2 for CIs)")
         if self.iters < 1:
-            raise ValueError("iteration budget must be >= 1")
+            raise ConfigurationError("iteration budget must be >= 1")
+        if not 0.0 < self.theta < 1.0:
+            raise ConfigurationError(f"theta={self.theta} outside (0, 1)")
 
 
 def resolve_config(problem: str, scheme: str, **overrides) -> ExperimentConfig:
     """Config with per-problem baseline defaults; explicit overrides win."""
     if problem not in PROBLEM_DEFAULTS:
-        raise ValueError(f"unknown problem {problem!r}")
+        raise ConfigurationError(f"unknown problem {problem!r}")
     merged: dict = dict(PROBLEM_DEFAULTS[problem])
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig(problem=problem, scheme=scheme, **merged)
@@ -351,7 +355,8 @@ def run_replications(
     The reference solution is computed once (or injected, e.g. to share across
     the schemes being compared) and reused by every replication. A reference
     solved here that misses its tolerance raises RuntimeError, since every
-    error curve is measured against it; an injected one is used as given.
+    error curve is measured against it; an injected one is used as given, with
+    a warning on the `adasa` logger when it did not converge.
     """
     setup = setup if setup is not None else build_setup(config)
     if reference is None:
@@ -365,6 +370,12 @@ def run_replications(
                 "the reference solve did not converge: it stopped at residual "
                 f"{reference.grad_map_norm:.3e} after {reference.iterations} iterations"
             )
+    elif not reference.converged:
+        logging.getLogger("adasa").warning(
+            "the injected reference did not converge (residual %.3e); every error "
+            "curve is measured against it",
+            reference.grad_map_norm,
+        )
     trajectories: list[Trajectory] = []
     for r in range(config.replications):
         rng = np.random.default_rng(config.seed + r)

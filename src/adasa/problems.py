@@ -316,7 +316,8 @@ def saa_reference(
     grad_map_tol: float = 1e-8,
     max_iter: int = 500_000,
 ) -> Reference:
-    """Reference solution from the problem's deterministic sample-average objective.
+    """Reference solution from the problem's deterministic objective: a sample
+    average of `sample_size` draws where the expectation has no closed form.
 
     Minimization problems whose SAA carries a Hessian (utility) run projected
     Newton, max_iter bounding its outer steps; the others (network) run
@@ -513,7 +514,11 @@ class UtilityProblem:
         The closed-form Hessian lets the reference be solved by projected
         Newton. Every reduction over the sample axis (Z^T c in the gradient,
         the Hessian's sums) goes through einsum rather than BLAS: a BLAS
-        reduction changes its bits with the thread count, and with them x*."""
+        reduction changes its bits with the thread count, and with them x*.
+
+        value_grad keeps the per-sample mean and deviation of its last point;
+        hessian reuses them at that point (Newton asks for H where it has just
+        evaluated F) and recomputes them, to the same bits, anywhere else."""
         z_samples = sample_ball_batch(sample_size, self.n, self.epsilon, rng)
         z_mean = z_samples.mean(axis=0)
         v_h, s_h, knots = self._envelope
@@ -521,11 +526,17 @@ class UtilityProblem:
         eta = self.eta
         z_a = z_samples @ a
         z_sq = np.einsum("ij,ij->i", z_samples, z_samples)
+        last: dict = {}  # x, mu and sigma of the last value_grad call
+
+        def moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            mu = z_a + a @ x
+            sig = np.sqrt(np.maximum(z_sq + 2.0 * (z_samples @ x) + x @ x, 0.0))
+            return mu, sig
 
         def value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-            z_x = z_samples @ x
-            mu = z_a + a @ x
-            sig = np.sqrt(np.maximum(z_sq + 2.0 * z_x + x @ x, 0.0))
+            last.clear()  # free the old point's terms before making new ones
+            mu, sig = moments(x)
+            last.update(x=x.copy(), mu=mu, sig=sig)
             psi, d_mu, d_sig = _gaussian_max_affine(mu, sig, v_h, s_h, knots)
             value = float(psi.mean() + 0.5 * eta * (sig**2).mean())
             c = d_sig / np.maximum(sig, 1e-12)
@@ -545,17 +556,21 @@ class UtilityProblem:
             # psi_mumu = c = psi_sigma/sigma = sum w/sigma, e = psi_musigma/sigma
             # = sum w zeta/sigma^2, d = (psi_sigmasigma - c)/sigma^2
             # = sum w (zeta^2 - 1)/sigma^3, b = mean e u, and
-            # H = mean c (aa^T + I) + ab^T + ba^T + mean d uu^T + eta I
-            a_x, x_x = a @ x, x @ x
+            # H = mean c (aa^T + I) + ab^T + ba^T + mean d uu^T + eta I.
+            # sum_i d_i z_i z_i^T is summed as its upper triangle, row j of a
+            # block as one einsum over the block's transposed copy zt, and
+            # mirrored at the end.
+            if last and np.array_equal(last["x"], x):
+                mu_all, sig_all = last["mu"], last["sig"]
+            else:
+                mu_all, sig_all = moments(x)
             sum_c = sum_e = sum_d = 0.0
             ez, dz, dzz = np.zeros(n), np.zeros(n), np.zeros((n, n))
             for lo in range(0, sample_size, ROW_BLOCK):
-                zc = z_samples[lo : lo + ROW_BLOCK]
-                hi = lo + zc.shape[0]
-                mu = z_a[lo:hi] + a_x
-                sig = np.maximum(
-                    np.sqrt(np.maximum(z_sq[lo:hi] + 2.0 * (zc @ x) + x_x, 0.0)), 1e-12
-                )
+                zt = np.ascontiguousarray(z_samples[lo : lo + ROW_BLOCK].T)
+                hi = lo + zt.shape[1]
+                mu = mu_all[lo:hi]
+                sig = np.maximum(sig_all[lo:hi], 1e-12)
                 w0, w1, w2 = np.zeros(hi - lo), np.zeros(hi - lo), np.zeros(hi - lo)
                 for t_j, jump in zip(knots, jumps):
                     zeta = (t_j - mu) / sig
@@ -571,9 +586,11 @@ class UtilityProblem:
                 sum_c += c.sum()
                 sum_e += e.sum()
                 sum_d += d.sum()
-                ez += np.einsum("i,ij->j", e, zc)
-                dz += np.einsum("i,ij->j", d, zc)
-                dzz += np.einsum("ij,ik->jk", zc * d[:, None], zc)
+                ez += np.einsum("ki,i->k", zt, e)
+                dz += np.einsum("ki,i->k", zt, d)
+                for j in range(n):
+                    dzz[j, j:] += np.einsum("ki,i->k", zt[j:], zt[j] * d)
+            dzz += np.triu(dzz, 1).T
             mean_c = sum_c / sample_size
             b = (sum_e * x + ez) / sample_size
             xdz = np.outer(x, dz)
@@ -584,7 +601,9 @@ class UtilityProblem:
                 + (sum_d * np.outer(x, x) + xdz + xdz.T + dzz) / sample_size
             )
             h[np.diag_indices(n)] += mean_c + eta
-            return 0.5 * (h + h.T)  # dzz is symmetric only up to rounding
+            # the sums ab^T + ba^T and xdz + xdz^T round in a different order
+            # on either side of the diagonal
+            return 0.5 * (h + h.T)
 
         return SaaMinimization(
             value_grad=value_grad,
@@ -695,11 +714,11 @@ class BimatrixProblem:
         return np.hstack([a[l_row] + eta * xh, a.T[l_col] - eta * yh])
 
     def lipschitz(self) -> float:
-        """Exact gradient Lipschitz constant ||A||_2 + eta.
-
-        The ball perturbation leaves a bilinear-plus-quadratic objective bilinear
-        plus quadratic (it only adds a constant), so the generic smoothed-oracle
-        bound is unnecessary here.
+        """Exact Lipschitz constant ||A||_2 + eta of the regularized operator
+        that build_saa forms, used in place of the generic smoothed-oracle
+        bound. It is not a constant of the run oracle's mean: that oracle draws
+        its indices at the perturbed point, and where that point leaves the
+        orthant the draw is biased away from the operator.
         """
         return float(np.linalg.norm(self.matrix, 2)) + self.eta
 
@@ -707,9 +726,11 @@ class BimatrixProblem:
         return 4.0  # sqrt(2)^2 per simplex, stacked
 
     def build_saa(self, sample_size: int, rng: np.random.Generator) -> SaaSaddle:
-        """Deterministic regularized saddle operator; the index sampling is
-        unbiased and the smoothing shift is an additive constant, so no sampling
-        is needed to form the expectation."""
+        """Deterministic regularized saddle operator (A^T y + eta x, -A x + eta y),
+        the mean of the unperturbed row/column draws, so nothing is sampled.
+        The run oracle draws its indices at y + z and x + z with weights
+        (u - min(0, u))/sum, which are not linear in z: where the perturbed
+        point leaves the orthant, its mean differs from this operator."""
         a, eta = self.matrix, self.eta
 
         def operator(x, y):
@@ -852,10 +873,10 @@ class NetworkProblem:
         return {"eta": eta, "lip": lip, "nu2": nu2, "d2": d2}
 
     def build_saa(self, sample_size: int, rng: np.random.Generator) -> SaaMinimization:
-        """The sampled cost is linear in k, so SAA collapses to the mean k vector."""
-        k_bar = rng.uniform(self.k_range[0], self.k_range[1], (sample_size, self.n)).mean(
-            axis=0
-        )
+        """The sampled cost is linear in k, so its expectation is the cost at
+        E[k] = (k_lo + k_hi)/2, exactly: nothing is sampled, and sample_size
+        and rng are unused."""
+        k_bar = np.full(self.n, 0.5 * (self.k_range[0] + self.k_range[1]))
         a = self.link_matrix
         gram = self._gram
 

@@ -35,19 +35,19 @@ SIZE = {"replications": 3, "iters": 300, "seed": 0}
 # (problem, scheme): (CSV SHA-256, meta.json SHA-256, repr(terminal_mean))
 GOLDEN = {
     ("utility", "hsa"): (
-        "42ae109fde98e7f2004e768be1ed1dfb53b9de63ae01311d45c98e6f01eb75ee",
-        "730fcf2cfc6ef70dce75bd18a3c627580f86798f569051da610b69626b6e89a4",
-        "0.010118532569394217",
+        "2ce0448efedae28b1deed7b46e1b229cbe584cf0a405ae729a501a366f2769d5",
+        "660142e0c10e83c995505c1be39bd7ef1133d2ed32fe4ca8f613199ee4b9efce",
+        "0.010118532569394214",
     ),
     ("utility", "rsa"): (
-        "e7f04466531562d4a605c3e9fa3537c5a2f536a483592b594a4a0bb3c1e2e55f",
-        "b874bf5dba7966742533575991c7562c27047eebf1a819d3d2e8690c4e08c9b5",
-        "0.012178205341345576",
+        "5840f883904e99bf3847de71dbb929366fae4980aba95d23f528e2dce6c29ceb",
+        "c48e1eb5f7ca8c3257cfaaf77b24b398a8b15bc924798a39f6c260f025cd67a7",
+        "0.012178205341345574",
     ),
     ("utility", "csa"): (
-        "fe788a1fe8588e72adf63329019c42f1b0bf09fd4639835466e01f1eff11d6d6",
-        "c5e2cd83bab5ca9eda1d2cbe1a710f29f46dcb1f58719eae93fa418db7ae69b1",
-        "0.012434070984887241",
+        "7299c95e336b2692701d54ac6fe814e145097b242d95760e7e97d18971f870d5",
+        "b97388d69ea206ff4175a41c755036d9bf25b895ba00a14553564799233cdc5a",
+        "0.012434070984887238",
     ),
     ("bimatrix", "hsa"): (
         "408213ce992fb00c152539541f720755439879c76c57cd52b436576028b99237",
@@ -65,19 +65,19 @@ GOLDEN = {
         "0.7426930642388286",
     ),
     ("network", "hsa"): (
-        "40eddb018e651a4eb52af8b83575d873ed3d8bf4fffa4af83b252a043cc61b4c",
-        "91cf8e6de5b5d3ed82a76d6313af6c709e7b67238e8f7361ebc3a17420b87999",
-        "0.00016058560128775598",
+        "fce1567ce8adb097a826fc59e5d2723629595d41f5a45f4a7b51380c0e75a70c",
+        "621d575228549b2e513a6248f7fe31b5641cad30bec4a798d4487d22e847ea8f",
+        "0.0001576246151788267",
     ),
     ("network", "rsa"): (
-        "2b9c90227061277d70fa5d01d30c2fa1bba05f2b993ddba04b169c4e3ba38794",
-        "a5bfa92531bb3ef1543f6e860df3a7db2dbbd0d5cbc150feeccaccc3ad8ed929",
-        "0.0002147424385290324",
+        "52966b9615fcc0c91c36dc1c3b69a53cef1a28df1622c43db96ce23d03042fd9",
+        "cba425801a18f7739a4854445e3210b4bfb0c1ee5893bd32c35723dfd4359f87",
+        "0.000211517240946464",
     ),
     ("network", "csa"): (
-        "be2dea06100a40275c78bcf44f2f70124723f28801e48306c8297c75cc960d99",
-        "236d6ca8a86ec286de497cd5363a4c01b49fecda7c59f31a9207ca00bf3a6ad4",
-        "0.00011719175670869848",
+        "f88275c53cb46b0d80c395e942c5c7e2bf5f162053ad3bffa7d9f1abe98ac547",
+        "ed369cd6c48c67187b13f22a4cbae3c53e9d57ef33c3b8a5628747a687cf2e64",
+        "0.00011422771443353999",
     ),
 }
 

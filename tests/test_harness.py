@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -248,7 +249,7 @@ class TestRunReplications:
             run_replications(config, setup=setup)
 
 
-    def test_unconverged_reference_raises_unless_injected(self, monkeypatch):
+    def test_unconverged_reference_raises_unless_injected(self, monkeypatch, caplog):
         config = resolve_config("bimatrix", "rsa", n=4, iters=10, replications=2,
                                 seed=13)
         setup = build_setup(config)
@@ -257,8 +258,15 @@ class TestRunReplications:
         monkeypatch.setattr(harness, "saa_reference", lambda *args, **kwargs: stalled)
         with pytest.raises(RuntimeError, match="residual 3.250e-04 after 7 iterations"):
             run_replications(config, setup=setup)
-        result = run_replications(config, reference=stalled, setup=setup)
+        with caplog.at_level(logging.WARNING, logger="adasa"):
+            run_replications(config, reference=_fixed_reference(setup), setup=setup)
+            assert not caplog.records
+            result = run_replications(config, reference=stalled, setup=setup)
         assert result.reference is stalled
+        assert [r.getMessage() for r in caplog.records] == [
+            "the injected reference did not converge (residual 3.250e-04); every "
+            "error curve is measured against it"
+        ]
 
     @pytest.mark.parametrize("kind", ["min", "saddle"])
     def test_failure_in_a_later_replication_names_it(self, kind):
@@ -420,6 +428,25 @@ class TestCli:
         argv = ["--problem", "network", "--scheme", "csa", "--theta", "1.5"]
         assert cli_main(argv + ["--iters", "5", "--replications", "2", "--out", out]) == 2
         assert capsys.readouterr().err == "error: theta=1.5 outside (0, 1)\n"
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--theta", "1.5"], "theta=1.5 outside (0, 1)"),
+            (["--replications", "0"], "replications must be >= 1 (>= 2 for CIs)"),
+        ],
+        ids=["theta", "replications"],
+    )
+    def test_configuration_errors_are_reported_before_setup(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def no_setup(config):
+            raise AssertionError("build_setup ran for a configuration it cannot use")
+
+        monkeypatch.setattr(harness, "build_setup", no_setup)
+        argv = ["--problem", "utility", "--scheme", "csa", "--out", str(tmp_path / "o.csv")]
+        assert cli_main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_config_key_names_it(self, tmp_path):
         # exact flag names only: an abbreviation the parser would accept on the

@@ -345,6 +345,53 @@ class TestUtilitySaa:
             assert np.array_equal(hess, hess.T)
             assert np.linalg.eigvalsh(hess)[0] >= problem.eta * (1.0 - 1e-9)
 
+    @pytest.mark.parametrize(
+        "x", [[0.3, 0.1, 0.25, 0.15, 0.2], [0.6, 0.4, 0.0, 0.0, 0.0]], ids=["interior", "face"]
+    )
+    def test_hessian_over_several_blocks_matches_the_full_formula(self, x):
+        # 2 * ROW_BLOCK + 3 samples: two full blocks and a ragged one
+        from adasa.smoothing import sample_ball_batch
+
+        m = 2 * smoothing.ROW_BLOCK + 3
+        problem = UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=14)
+        x, other = np.array(x), np.full(5, 0.2)
+        z = sample_ball_batch(m, 5, problem.epsilon, np.random.default_rng(22))
+        want = _full_formula_hessian(problem, z, x)
+
+        saa = problem.build_saa(m, np.random.default_rng(22))
+        cold = saa.hessian(x)  # no value_grad call yet
+        saa.value_grad(x)
+        reused = saa.hessian(x)
+        saa.value_grad(other)
+        elsewhere = saa.hessian(x)
+        assert np.array_equal(cold, reused) and np.array_equal(cold, elsewhere)
+        assert np.array_equal(cold, cold.T)
+        assert np.max(np.abs(cold - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _full_formula_hessian(problem, z, x):
+    """The utility SAA Hessian from one einsum over all m samples at once, the
+    form the blocked upper-triangle sum in build_saa must reproduce."""
+    _, s_h, knots = problem._envelope
+    a, m = problem.coeff_base, z.shape[0]
+    mu = z @ a + a @ x
+    sig = np.maximum(np.sqrt(np.maximum((z * z).sum(axis=1) + 2.0 * (z @ x) + x @ x, 0.0)), 1e-12)
+    zeta = (knots[None, :] - mu[:, None]) / sig[:, None]
+    w = np.diff(s_h)[None, :] * np.exp(-0.5 * zeta**2) / math.sqrt(2.0 * math.pi)
+    c = w.sum(axis=1) / sig
+    e = (w * zeta).sum(axis=1) / sig**2
+    d = ((w * zeta**2).sum(axis=1) - w.sum(axis=1)) / sig**3
+    u = x[None, :] + z
+    b = np.einsum("i,ij->j", e, u) / m
+    h = (
+        c.mean() * (np.outer(a, a) + np.eye(a.size))
+        + np.outer(a, b)
+        + np.outer(b, a)
+        + np.einsum("ij,ik->jk", u * d[:, None], u) / m
+        + problem.eta * np.eye(a.size)
+    )
+    return 0.5 * (h + h.T)
+
 
 def _mc_smoothed_value(problem, x, m, rng):
     from adasa.smoothing import sample_ball_batch
@@ -675,6 +722,19 @@ class TestNetworkProblem:
         )
         ref = saa_reference(problem, sample_size=1000, seed=0, grad_map_tol=1e-12)
         assert abs(ref.point[0] - 1.0) <= 1e-10
+
+    def test_reference_uses_the_exact_mean_k(self):
+        # the cost is linear in k, so the SAA is the cost at (k_lo + k_hi)/2
+        # and neither the sample size nor the seed moves the reference
+        problem = NetworkProblem.from_seed(5, "c3", seed=0)
+        x = np.full(5, 0.01)
+        value, grad = problem.build_saa(1000, np.random.default_rng(0)).value_grad(x)
+        k_mean = np.full(5, 0.6)
+        assert value == pytest.approx(network_value(x, k_mean, problem.link_matrix), rel=1e-14)
+        assert np.allclose(grad, network_gradient(x, k_mean, problem.link_matrix), rtol=1e-14)
+        refs = [saa_reference(problem, sample_size=m, seed=s) for m, s in [(1000, 0), (50_000, 7)]]
+        assert refs[0].converged
+        assert np.array_equal(refs[0].point, refs[1].point)
 
 
 class _QuadraticToy:
