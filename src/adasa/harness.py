@@ -356,9 +356,12 @@ def run_replications(
     the schemes being compared) and reused by every replication. A reference
     solved here that misses its tolerance raises RuntimeError, since every
     error curve is measured against it; an injected one is used as given, with
-    a warning on the `adasa` logger when it did not converge.
+    a warning on the `adasa` logger when it did not converge. Replication 0's
+    schedule is built before the reference solve, so a configuration whose
+    schedule cannot be built fails before that work.
     """
     setup = setup if setup is not None else build_setup(config)
+    first_policy = make_policy(config, setup.constants)
     if reference is None:
         reference = saa_reference(
             setup.problem,
@@ -379,7 +382,7 @@ def run_replications(
     trajectories: list[Trajectory] = []
     for r in range(config.replications):
         rng = np.random.default_rng(config.seed + r)
-        policy = make_policy(config, setup.constants)
+        policy = first_policy if r == 0 else make_policy(config, setup.constants)
         try:
             if setup.kind == "saddle":
                 traj = run_saddle_sa(

@@ -42,16 +42,25 @@ def _nnls():
     return nnls
 
 
+@functools.cache
+def _ranks(n: int) -> np.ndarray:
+    """1.0, ..., n as floats, read-only: float ranks are exact, so css / ranks
+    equals css / (int ranks)."""
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} by sort and threshold."""
     v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
-        raise ValueError("cannot project a vector with non-finite entries")
     u = np.sort(v)[::-1]
+    # NaN sorts last and -inf first, so after the reversal any NaN or +inf is
+    # at u[0] and any -inf at u[-1]
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+        raise ValueError("cannot project a vector with non-finite entries")
     css = u.cumsum() - 1.0
-    # float ranks are exact, so css / ranks equals css / (int ranks)
-    ranks = np.arange(1.0, v.size + 1.0)
-    active = (u - css / ranks > 0).nonzero()[0]
+    active = (u - css / _ranks(v.size) > 0).nonzero()[0]
     if not active.size:
         # u[0] - (u[0] - 1) rounds to 0 once u[0] >= 2^53. The projection is
         # invariant to a shift, and entries 1 or more below the maximum
@@ -64,19 +73,30 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 def project_capacity(
     v: np.ndarray, link_matrix: np.ndarray, capacity: np.ndarray
 ) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, Ax <= C}.
+    """Euclidean projection onto {x >= 0, Ax <= C}, in three stages:
 
-    A feasible v comes back unchanged. Otherwise x = v + z for the shortest z
-    with Gz >= h, G = [I; -A], h = [-v; Av - C]: least-distance programming,
-    solved exactly by one NNLS call (Lawson & Hanson 1974, ch. 23). With w the
-    NNLS solution of min ||Ew - f||, w >= 0, E = [G^T; h^T], f = e_{n+1}, and
-    r = Ew - f, z = -r[:n]/r[n]; r = 0 means the constraints admit no point.
+    - unchanged: a feasible v comes back as the same object;
+    - clipped: x = max(v, 0) is the nearest point of the orthant, a superset
+      of the feasible set, so when Ax <= C it is the projection, exactly;
+    - NNLS: while a link is still over capacity, x = v + z for the shortest z
+      with Gz >= h, G = [I; -A], h = [-v; Av - C]: least-distance programming,
+      solved exactly by one NNLS call (Lawson & Hanson 1974, ch. 23). With w
+      the NNLS solution of min ||Ew - f||, w >= 0, E = [G^T; h^T],
+      f = e_{n+1}, and r = Ew - f, z = -r[:n]/r[n]; r = 0 means the
+      constraints admit no point.
     """
     v = np.asarray(v, dtype=float)
     a_rows = np.asarray(link_matrix, dtype=float)
-    excess = a_rows @ v - np.asarray(capacity, dtype=float)
-    if v.min() >= 0.0 and excess.max() <= 0.0:
-        return v
+    capacity = np.asarray(capacity, dtype=float)
+    if v.min() >= 0.0:
+        excess = a_rows @ v - capacity
+        if excess.max() <= 0.0:
+            return v
+    else:
+        x = np.maximum(v, 0.0)
+        if (a_rows @ x - capacity).max() <= 0.0:
+            return x
+        excess = a_rows @ v - capacity
     n = v.size
     e = np.vstack([np.hstack([np.eye(n), -a_rows.T]), np.concatenate([-v, excess])])
     f = np.zeros(n + 1)
@@ -463,7 +483,7 @@ class UtilityProblem:
         xi = rng.standard_normal(self.n)
         coeff = self.coeff_base + xi
         t = float(coeff @ x)
-        active = int(np.argmax(self.intercepts + self.slopes * t))
+        active = int((self.intercepts + self.slopes * t).argmax())
         return self.slopes[active] * coeff + self.eta * x
 
     def estimate_subgradient_bound(
@@ -630,7 +650,7 @@ def _draw_index(u: np.ndarray, rng: np.random.Generator) -> int:
     """Index q with probability (u_q - min(0, u)) / sum_j (u_j - min(0, u)),
     driven by a single uniform variate."""
     w = _index_weights(u)
-    return min(int(np.add.accumulate(w).searchsorted(rng.uniform(), "right")), u.size - 1)
+    return min(int(np.add.accumulate(w).searchsorted(rng.random(), "right")), u.size - 1)
 
 
 def _draw_indices(u: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -813,6 +833,8 @@ class NetworkProblem:
             # a user crossing no link makes the cost unbounded below
             raise ValueError("every user must cross at least one link")
         self._gram = self.link_matrix.T @ self.link_matrix
+        # network_gradient's 2.0 * a.T, formed once: the same array, same bits
+        self._two_a_t = 2.0 * self.link_matrix.T
         _nnls()  # scipy.optimize loads with the problem, not in a projection
 
     @classmethod
@@ -841,10 +863,17 @@ class NetworkProblem:
         return cls(n=n, link_matrix=a, capacity=cap, k_range=k_range)
 
     def sample_k(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.k_range[0], self.k_range[1], self.n)
+        """k uniform on k_range: the bits of rng.uniform(lo, hi, n), which
+        forms lo + (hi - lo) * U from the same doubles."""
+        lo, hi = self.k_range
+        return lo + (hi - lo) * rng.random(self.n)
 
     def oracle(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return network_gradient(x, self.sample_k(rng), self.link_matrix)
+        """network_gradient(x, sample_k(rng), A), bit for bit, for a float x."""
+        k = self.sample_k(rng)
+        if x.min() <= -1.0:
+            raise ValueError("log(1+x) undefined: some component is <= -1")
+        return -k / (1.0 + x) + self._two_a_t @ (self.link_matrix @ x)
 
     def projection(self) -> Callable[[np.ndarray], np.ndarray]:
         a, cap = self.link_matrix, self.capacity

@@ -55,7 +55,7 @@ def sample_ball(n: int, epsilon: float, rng: np.random.Generator) -> np.ndarray:
     while norm == 0.0:  # probability zero, but keep the draw well defined
         direction = rng.standard_normal(n)
         norm = math.sqrt(direction @ direction)
-    radius = epsilon * rng.uniform() ** (1.0 / n)
+    radius = epsilon * rng.random() ** (1.0 / n)
     return (radius / norm) * direction
 
 

@@ -65,17 +65,17 @@ GOLDEN = {
         "0.7426930642388286",
     ),
     ("network", "hsa"): (
-        "fce1567ce8adb097a826fc59e5d2723629595d41f5a45f4a7b51380c0e75a70c",
+        "dbe43f1f526775fd93e247be582507ddb0ef3a68271be32c5837d47f886b3b91",
         "621d575228549b2e513a6248f7fe31b5641cad30bec4a798d4487d22e847ea8f",
         "0.0001576246151788267",
     ),
     ("network", "rsa"): (
-        "52966b9615fcc0c91c36dc1c3b69a53cef1a28df1622c43db96ce23d03042fd9",
+        "f3c95fbc97a1ee0cefacf6375841616494d13b28a6812aa6f7634fa6f2a92913",
         "cba425801a18f7739a4854445e3210b4bfb0c1ee5893bd32c35723dfd4359f87",
         "0.000211517240946464",
     ),
     ("network", "csa"): (
-        "f88275c53cb46b0d80c395e942c5c7e2bf5f162053ad3bffa7d9f1abe98ac547",
+        "c26fde1726ba34cd3c715c268278d51120cfe980ef69c944e389fd9baa3cb48e",
         "ed369cd6c48c67187b13f22a4cbae3c53e9d57ef33c3b8a5628747a687cf2e64",
         "0.00011422771443353999",
     ),

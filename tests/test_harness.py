@@ -448,6 +448,23 @@ class TestCli:
         assert cli_main(argv + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_schedule_errors_are_reported_before_the_reference_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # CSA phase 1 finds no steplength from gamma0 = 1e-20; that is only
+        # known once the setup gives the constants, but before the reference
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference was solved for a schedule that fails")
+
+        monkeypatch.setattr(harness, "saa_reference", no_reference)
+        out = tmp_path / "o.csv"
+        argv = ["--problem", "utility", "--scheme", "csa", "--gamma0", "1e-20"]
+        assert cli_main(argv + ["--iters", "50", "--replications", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: phase 1 failed to find a feasible steplength"
+        )
+        assert not out.exists()
+
     def test_unknown_config_key_names_it(self, tmp_path):
         # exact flag names only: an abbreviation the parser would accept on the
         # command line is still an unknown key in the file

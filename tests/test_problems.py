@@ -59,6 +59,15 @@ class TestProjectSimplex:
         with pytest.raises(ValueError):
             project_simplex(np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_nonfinite_rejected_at_any_position(self, bad, at):
+        # the check reads only the ends of the sorted vector
+        v = np.array([0.3, -1.0, 2.0, 0.0, 0.5])
+        v[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            project_simplex(v)
+
     @pytest.mark.parametrize("v", [[1e16, 0.0], [1e17, 0.0], [1e300, -1e300]])
     def test_huge_entries_project_onto_simplex(self, v):
         # u[0] - (u[0] - 1) rounds to 0 here, so no threshold index is active
@@ -583,6 +592,9 @@ class _ReplayRng:
         assert size == self.uniforms.shape
         return self.uniforms.copy()
 
+    def random(self, size=None):
+        return self.uniform(size)
+
 
 def _replay_ball(monkeypatch, module, z):
     """Make module.sample_ball return the rows of z in turn and
@@ -687,6 +699,24 @@ class TestNetworkProblem:
     def test_log_domain_error(self):
         with pytest.raises(ValueError):
             network_gradient(np.array([-1.5]), np.array([0.5]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("k_range", [(0.2, 1.0), (4.0, 4.0), (-3.0, 7.5)])
+    def test_sample_k_equals_uniform_bitwise(self, k_range):
+        problem = NetworkProblem.from_seed(5, "c3", seed=1, k_range=k_range)
+        got, want = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2000):
+            assert problem.sample_k(got).tobytes() == want.uniform(*k_range, 5).tobytes()
+
+    def test_oracle_equals_network_gradient_bitwise(self):
+        problem = NetworkProblem.from_seed(5, "c3", seed=2)
+        points = np.random.default_rng(6).uniform(0.0, 0.3, (500, 5))
+        got, want = np.random.default_rng(7), np.random.default_rng(7)
+        for x in points:
+            g = problem.oracle(x, got)
+            h = network_gradient(x, problem.sample_k(want), problem.link_matrix)
+            assert g.tobytes() == h.tobytes()
+        with pytest.raises(ValueError, match="log"):
+            problem.oracle(np.full(5, -1.0), got)
 
     def test_capacity_presets(self):
         c3 = capacity_vector("c3")

@@ -4,6 +4,7 @@ the per-step kernels and the Gaussian max-affine kernel against frozen copies
 of their earlier formulas."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -244,6 +245,9 @@ class ReplayUniform:
     def uniform(self):
         return self.value
 
+    def random(self):
+        return self.uniform()
+
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -390,3 +394,60 @@ def capacity_boundary_instances(draw):
 def test_capacity_short_circuit_matches_frozen_predicate(instance):
     v, a, c = instance
     assert (project_capacity(v, a, c) is v) == frozen_capacity_feasible(v, a, c)
+
+
+@st.composite
+def orthant_instances(draw):
+    """capacity_instances with v scaled from well inside to far outside the
+    capacities, so each of the projection's three stages is reached."""
+    v, a, c = draw(capacity_instances())
+    return v * draw(st.sampled_from([0.03, 0.3, 1.0, 3.0])), a, c
+
+
+def frozen_least_distance(v, a, c):
+    """project_capacity's NNLS stage, applied to any v."""
+    n = v.size
+    e = np.vstack([np.hstack([np.eye(n), -a.T]), np.concatenate([-v, a @ v - c])])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    w, _ = nnls(e, f)
+    r = e @ w - f
+    return np.maximum(v - r[:n] / r[n], 0.0)
+
+
+def no_nnls():
+    raise AssertionError("NNLS called where the orthant clip is the projection")
+
+
+@SETTINGS
+@given(instance=orthant_instances())
+# feasible, clipped, and over capacity after the clip
+@example(instance=(np.array([0.05]), np.array([[1.0]]), np.array([0.1])))
+@example(instance=(np.array([-0.5, 0.05]), np.array([[1.0, 1.0]]), np.array([0.1])))
+@example(instance=(np.array([0.3, -0.2]), np.array([[1.0, 0.0]]), np.array([0.1])))
+def test_capacity_orthant_stage_is_exact_and_skips_nnls(instance):
+    v, a, c = instance
+    clipped = np.maximum(v, 0.0)
+    if np.all(a @ clipped - c <= 0.0):
+        with mock.patch.object(problems, "_nnls", no_nnls):
+            x = project_capacity(v, a, c)
+        assert same_bits(x, clipped)
+        # the NNLS formula meets the exact clip up to its own rounding, which
+        # grows like eps |v_i| (1 + ||min(v, 0)||^2): 1 / r[n] is that factor
+        neg = np.minimum(v, 0.0)
+        scale = max(1.0, float(np.abs(v).max()) * (1.0 + neg @ neg))
+        gap = np.abs(x - frozen_least_distance(v, a, c)).max()
+        assert gap <= 8.0 * np.finfo(float).eps * scale
+    else:
+        calls = []
+
+        def counting_nnls():
+            def solve(e, f):
+                calls.append(e.shape)
+                return nnls(e, f)
+
+            return solve
+
+        with mock.patch.object(problems, "_nnls", counting_nnls):
+            project_capacity(v, a, c)
+        assert len(calls) == 1
