@@ -28,6 +28,7 @@ from .problems import (
 )
 from .sa_core import Trajectory, run_sa, run_saddle_sa
 from .smoothing import (
+    ROW_BLOCK,
     SmoothedOracle,
     row_norms,
     smoothed_subgradient,
@@ -235,9 +236,14 @@ def _setup_network(config: ExperimentConfig) -> RunSetup:
 
 def _pilot_noise_bound(draws: np.ndarray, inflation: float = 1.5) -> float:
     """Inflated mean squared deviation of oracle samples, one per row, from
-    their mean: the pilot estimate of nu^2."""
+    their mean: the pilot estimate of nu^2. Each row's squared deviation is
+    summed on its own, a block of rows at a time, so the bits are those of the
+    whole-array formula without an m x n temporary."""
     center = draws.mean(axis=0)
-    return float(((draws - center) ** 2).sum(axis=1).mean() * inflation)
+    sq_dev = np.empty(draws.shape[0])
+    for lo in range(0, draws.shape[0], ROW_BLOCK):
+        sq_dev[lo : lo + ROW_BLOCK] = ((draws[lo : lo + ROW_BLOCK] - center) ** 2).sum(axis=1)
+    return float(sq_dev.mean() * inflation)
 
 
 _SETUPS = {

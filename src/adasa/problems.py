@@ -10,6 +10,7 @@ objective whose minimizer serves as the reference for error curves.
 
 from __future__ import annotations
 
+import copy
 import functools
 import logging
 import math
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .smoothing import ROW_BLOCK, row_norms, sample_ball, sample_ball_batch
+from .smoothing import ROW_BLOCK, sample_ball, sample_ball_batch
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # a relative change of F this small is rounding, too small for Armijo to rank
@@ -54,20 +55,24 @@ def _ranks(n: int) -> np.ndarray:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} by sort and threshold."""
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
     # NaN sorts last and -inf first, so after the reversal any NaN or +inf is
     # at u[0] and any -inf at u[-1]
     if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
         raise ValueError("cannot project a vector with non-finite entries")
-    css = u.cumsum() - 1.0
-    active = (u - css / _ranks(v.size) > 0).nonzero()[0]
+    css = u.cumsum()
+    css -= 1.0
+    # IEEE subtraction is sign-exact, so u - q > 0 exactly when u > q
+    active = (u > css / _ranks(v.size)).nonzero()[0]
     if not active.size:
         # u[0] - (u[0] - 1) rounds to 0 once u[0] >= 2^53. The projection is
         # invariant to a shift, and entries 1 or more below the maximum
         # project to 0, so the shifted and clipped copy projects the same.
         return project_simplex(np.maximum(v - u[0], -1.0))
-    rho = active[-1] + 1
-    return np.maximum(v - css[rho - 1] / rho, 0.0)
+    rho = int(active[-1]) + 1
+    return np.maximum(v - float(css[rho - 1]) / rho, 0.0)
 
 
 def project_capacity(
@@ -84,19 +89,32 @@ def project_capacity(
       the NNLS solution of min ||Ew - f||, w >= 0, E = [G^T; h^T],
       f = e_{n+1}, and r = Ew - f, z = -r[:n]/r[n]; r = 0 means the
       constraints admit no point.
+
+    A v with a NaN or infinite entry is rejected at every stage, before NNLS,
+    from the reductions the stages make anyway: a NaN or -inf shows in v.min(),
+    and a +inf makes every excess entry inf or NaN (0 * inf is NaN, which
+    numpy warns of), so no feasible stage returns it. A finite v so large that
+    Av overflows is rejected the same way.
     """
     v = np.asarray(v, dtype=float)
     a_rows = np.asarray(link_matrix, dtype=float)
     capacity = np.asarray(capacity, dtype=float)
-    if v.min() >= 0.0:
+    low = v.min()
+    if low >= 0.0:
         excess = a_rows @ v - capacity
-        if excess.max() <= 0.0:
+        worst = excess.max()
+        if worst <= 0.0:
             return v
-    else:
+    elif math.isfinite(low):
         x = np.maximum(v, 0.0)
         if (a_rows @ x - capacity).max() <= 0.0:
             return x
         excess = a_rows @ v - capacity
+        worst = excess.max()
+    else:
+        worst = low  # NaN or -inf
+    if not math.isfinite(worst):
+        raise ValueError("cannot project a vector with non-finite entries")
     n = v.size
     e = np.vstack([np.hstack([np.eye(n), -a_rows.T]), np.concatenate([-v, excess])])
     f = np.zeros(n + 1)
@@ -497,34 +515,57 @@ class UtilityProblem:
 
         The Gaussian noise makes the true supremum infinite; the smoothed oracle
         truncates at this estimate, taken at the barycenter.
+
+        The rows, their norms and rng's end state are those of
+        row_norms(subgradient_samples(center, pilot_size, rng)), but only the
+        ball block is live at full size: rng skips the xi block a block of rows
+        at a time, draws the ball block, and a copy of its state from before
+        the skip replays xi one block at a time beside the ball rows.
         """
         center = np.full(self.n, 1.0 / self.n)
-        norms = row_norms(self.subgradient_samples(center, pilot_size, rng))
+        replay = np.random.Generator(copy.deepcopy(rng.bit_generator))
+        for lo in range(0, pilot_size, ROW_BLOCK):
+            rng.standard_normal((min(ROW_BLOCK, pilot_size - lo), self.n))
+        points = sample_ball_batch(pilot_size, self.n, self.epsilon, rng)
+        norms = np.empty(pilot_size)
+        for lo in range(0, pilot_size, ROW_BLOCK):
+            p = points[lo : lo + ROW_BLOCK]
+            rows = self._subgradient_rows(replay.standard_normal(p.shape), p, center)
+            norms[lo : lo + ROW_BLOCK] = np.linalg.norm(rows, axis=1)
         return float(np.percentile(norms, percentile) * inflation)
 
     def subgradient_samples(
         self, x: np.ndarray, m: int, rng: np.random.Generator
     ) -> np.ndarray:
         """m samples of the inner oracle at ball-perturbed copies of x, one per
-        row: the xi block, then the ball block, drawn at once.
-
-        In place and a block of rows at a time, so only the two m x n draws
-        are live at full size; each operation keeps its operands and works
-        row by row, so the rows are bitwise those of the out-of-place formula
-        the tests keep.
-        """
+        row: the xi block, then the ball block, drawn at once and combined a
+        block of rows at a time by _subgradient_rows."""
         coeff = rng.standard_normal((m, self.n))
         points = sample_ball_batch(m, self.n, self.epsilon, rng)
         for lo in range(0, m, ROW_BLOCK):
-            c, p = coeff[lo : lo + ROW_BLOCK], points[lo : lo + ROW_BLOCK]
-            p += x
-            c += self.coeff_base
-            t = np.einsum("ij,ij->i", c, p)
-            active = np.argmax(self.intercepts + self.slopes * t[:, None], axis=1)
-            c *= self.slopes[active][:, None]
-            p *= self.eta
-            c += p
+            self._subgradient_rows(
+                coeff[lo : lo + ROW_BLOCK], points[lo : lo + ROW_BLOCK], x
+            )
         return coeff
+
+    def _subgradient_rows(
+        self, c: np.ndarray, p: np.ndarray, x: np.ndarray
+    ) -> np.ndarray:
+        """The inner oracle on rows of xi draws c and ball draws p, in place:
+        c comes back holding the samples at x + p, and p is overwritten.
+
+        Each operation keeps its operands and works row by row, so the rows
+        are bitwise those of the out-of-place formula the tests keep, however
+        the rows are split into blocks.
+        """
+        p += x
+        c += self.coeff_base
+        t = np.einsum("ij,ij->i", c, p)
+        active = np.argmax(self.intercepts + self.slopes * t[:, None], axis=1)
+        c *= self.slopes[active][:, None]
+        p *= self.eta
+        c += p
+        return c
 
     def build_saa(self, sample_size: int, rng: np.random.Generator) -> SaaMinimization:
         """Deterministic objective: the Gaussian expectation is exact (closed form
@@ -557,7 +598,14 @@ class UtilityProblem:
             last.clear()  # free the old point's terms before making new ones
             mu, sig = moments(x)
             last.update(x=x.copy(), mu=mu, sig=sig)
-            psi, d_mu, d_sig = _gaussian_max_affine(mu, sig, v_h, s_h, knots)
+            # per sample, a block at a time, so the per-piece columns stay
+            # block-sized; each row's terms, gemv dots included, keep their bits
+            psi, d_mu, d_sig = (np.empty(sample_size) for _ in range(3))
+            for lo in range(0, sample_size, ROW_BLOCK):
+                rows = slice(lo, lo + ROW_BLOCK)
+                psi[rows], d_mu[rows], d_sig[rows] = _gaussian_max_affine(
+                    mu[rows], sig[rows], v_h, s_h, knots
+                )
             value = float(psi.mean() + 0.5 * eta * (sig**2).mean())
             c = d_sig / np.maximum(sig, 1e-12)
             grad = (
@@ -723,15 +771,25 @@ class BimatrixProblem:
         self, x: np.ndarray, y: np.ndarray, m: int, rng: np.random.Generator
     ) -> np.ndarray:
         """m run-oracle samples at (x, y), one row [gx, gy] each, from block
-        draws: the 2n-ball rows, then a uniform pair per row (y's index, x's)."""
+        draws: the 2n-ball rows, then a uniform pair per row (y's index, x's).
+
+        The rows are built in place in the ball block, a block of rows at a
+        time. IEEE addition commutes and a - b is a + (-b) exactly, so
+        eta*xh + A_l and (-eta)*yh + A_l are run_oracle's bits."""
         n, eta, a = self.n, self.eta, self.matrix
-        zeta = sample_ball_batch(m, 2 * n, self.epsilon, rng)
+        out = sample_ball_batch(m, 2 * n, self.epsilon, rng)
         uniforms = rng.uniform(size=(m, 2))
-        xh = x + zeta[:, :n]
-        yh = y + zeta[:, n:]
-        l_row = _draw_indices(yh, uniforms[:, 0])
-        l_col = _draw_indices(xh, uniforms[:, 1])
-        return np.hstack([a[l_row] + eta * xh, a.T[l_col] - eta * yh])
+        for lo in range(0, m, ROW_BLOCK):
+            xh, yh = out[lo : lo + ROW_BLOCK, :n], out[lo : lo + ROW_BLOCK, n:]
+            xh += x
+            yh += y
+            l_row = _draw_indices(yh, uniforms[lo : lo + ROW_BLOCK, 0])
+            l_col = _draw_indices(xh, uniforms[lo : lo + ROW_BLOCK, 1])
+            xh *= eta
+            xh += a[l_row]
+            yh *= -eta
+            yh += a.T[l_col]
+        return out
 
     def lipschitz(self) -> float:
         """Exact Lipschitz constant ||A||_2 + eta of the regularized operator
@@ -873,7 +931,9 @@ class NetworkProblem:
         k = self.sample_k(rng)
         if x.min() <= -1.0:
             raise ValueError("log(1+x) undefined: some component is <= -1")
-        return -k / (1.0 + x) + self._two_a_t @ (self.link_matrix @ x)
+        # -k / (1 + x), one ufunc fewer: negation is exact and IEEE + and /
+        # are sign-symmetric
+        return k / (-1.0 - x) + self._two_a_t @ (self.link_matrix @ x)
 
     def projection(self) -> Callable[[np.ndarray], np.ndarray]:
         a, cap = self.link_matrix, self.capacity

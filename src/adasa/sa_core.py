@@ -4,6 +4,10 @@ The engine is deliberately small: it threads a caller-owned RNG through a
 sampled-gradient oracle, applies a steplength policy, projects, and records the
 squared distance to a reference point before every update. All problem
 structure lives in the oracle and the projection.
+
+A projection passed to run_sa or sa_step must reject non-finite input with a
+ValueError, as project_simplex and project_capacity do: the engine checks the
+step x - gamma*g itself only when there is no projection.
 """
 
 from __future__ import annotations
@@ -39,16 +43,18 @@ def sa_step(
     """One projected gradient step proj(x - gamma*g).
 
     A non-finite x or g makes the step non-finite, so one check on the step
-    rejects both.
+    rejects both: the projection's own, or this function's when proj is None.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"steplength must be positive and finite, got {gamma}")
     if x.shape != g.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
     candidate = x - gamma * g
+    if proj is not None:
+        return proj(candidate)
     if not np.isfinite(candidate).all():
         raise ValueError("step x - gamma*g has non-finite entries")
-    return candidate if proj is None else proj(candidate)
+    return candidate
 
 
 def run_sa(

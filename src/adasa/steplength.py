@@ -185,12 +185,22 @@ def hsa_steps(alpha: float, n: int) -> np.ndarray:
 
 
 def rsa_steps(gamma0: float, c: float, n: int) -> np.ndarray:
-    """Recursive schedule gamma_{k+1} = rsa_next(gamma_k, c), clamped at GAMMA_FLOOR."""
+    """Recursive schedule gamma_{k+1} = rsa_next(gamma_k, c), clamped at GAMMA_FLOOR.
+
+    rsa_next's domain is checked once, for gamma0 and, where a second step
+    is computed, for the floor. gamma * (1 - c*gamma) never exceeds gamma, so
+    every later step lies in [GAMMA_FLOOR, gamma0] and the recursion runs
+    inline, to the same bits and errors as calling rsa_next per step.
+    """
+    if n >= 1:
+        rsa_next(gamma0, c)
+    if n >= 2:
+        rsa_next(GAMMA_FLOOR, c)
     steps = []
     gamma = gamma0
     for _ in range(n):
         steps.append(gamma)
-        gamma = max(rsa_next(gamma, c), GAMMA_FLOOR)
+        gamma = max(gamma * (1.0 - c * gamma), GAMMA_FLOOR)
     return np.array(steps, dtype=float)
 
 

@@ -300,6 +300,21 @@ def _fixed_reference(setup):
     return Reference(point=point, grad_map_norm=0.0, converged=True, iterations=0)
 
 
+def _frozen_pilot_noise_bound(draws, inflation=1.5):
+    """harness._pilot_noise_bound as it was, on the whole sample at once."""
+    center = draws.mean(axis=0)
+    return float(((draws - center) ** 2).sum(axis=1).mean() * inflation)
+
+
+@pytest.mark.parametrize(
+    "m", [1, 10, smoothing.ROW_BLOCK, smoothing.ROW_BLOCK + 1, 3 * smoothing.ROW_BLOCK + 7]
+)
+def test_pilot_noise_bound_matches_the_whole_sample_formula_bitwise(m):
+    rng = np.random.default_rng(m)
+    for draws in (rng.normal(0.3, 2.0, (m, 40)), rng.uniform(-1.0, 1.0, (m, 5))):
+        assert harness._pilot_noise_bound(draws) == _frozen_pilot_noise_bound(draws)
+
+
 class TestLayerHooks:
     """The benchmark's tracer times the step, the steplength, the simplex
     projection and the ball draw by replacing these module attributes, so the

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,8 +76,64 @@ class TestProjectSimplex:
         assert p.sum() == 1.0 and np.all(p >= 0.0)
         assert p.tolist() == [1.0, 0.0]
 
+    def test_matches_the_frozen_formula_bitwise(self):
+        rng = np.random.default_rng(40)
+        cases = [rng.normal(0.0, 3.0, rng.integers(1, 30)) for _ in range(3000)]
+        cases += [rng.uniform(-1.0, 1.0, 20) * 10.0 ** rng.integers(-300, 300) for _ in range(500)]
+        # ties, signed zeros, a single entry, the >= 2^53 fallback
+        cases += [np.round(rng.normal(0.0, 1.0, 12), 1) for _ in range(500)]
+        cases += [np.array(v) for v in (
+            [0.0, -0.0, 0.0], [-0.0], [0.0], [0.7], [-5.0], [1e300],
+            [0.5, 0.5], [0.25] * 4, [-0.0, 1.0, -0.0], [1.0, 1.0, 0.0, -0.0],
+            [2.0**53, 0.0], [2.0**53, 2.0**53, -3.0], [1e16, 1e16 - 2.0], [1e300, -1e300],
+        )]
+        for v in cases:
+            assert project_simplex(v).tobytes() == _frozen_project_simplex(v).tobytes()
+
+
+def _frozen_project_simplex(v):
+    """project_simplex as it was before its numpy calls were cut."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = u.cumsum() - 1.0
+    active = (u - css / np.arange(1.0, v.size + 1.0) > 0).nonzero()[0]
+    if not active.size:
+        return _frozen_project_simplex(np.maximum(v - u[0], -1.0))
+    rho = active[-1] + 1
+    return np.maximum(v - css[rho - 1] / rho, 0.0)
+
 
 class TestProjectCapacity:
+    # user 3 crosses no link, so A v meets a +inf there only through 0 * inf
+    _links = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+    _caps = np.array([1.0, 1.0])
+    _stages = {
+        "feasible": [0.2, 0.3, 0.1, 5.0],
+        "clipped": [-0.5, 0.3, 0.2, -1.0],
+        "nnls": [2.0, 1.0, -0.1, 0.5],
+    }
+
+    # numpy warns of the 0 * inf in A v before the projection raises
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    @pytest.mark.parametrize("stage", sorted(_stages))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_at_every_stage_before_nnls(self, monkeypatch, bad, stage, at):
+        def no_nnls():
+            raise AssertionError("a non-finite vector reached NNLS")
+
+        v = np.array(self._stages[stage])
+        monkeypatch.setattr(problems_mod, "_nnls", no_nnls)
+        if stage == "nnls":
+            with pytest.raises(AssertionError):
+                project_capacity(v, self._links, self._caps)
+        else:
+            out = project_capacity(v, self._links, self._caps)
+            assert np.array_equal(out, np.maximum(v, 0.0))
+        v[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            project_capacity(v, self._links, self._caps)
+
     def test_interior_point_fixed(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
         c = np.array([1.0, 0.6])
@@ -230,16 +287,25 @@ class TestUtilityProblem:
         assert np.linalg.norm(grad_mean - fd) <= 4.0 * se + 5e-3
 
     def test_pilot_bound_matches_out_of_place_formula(self):
-        # the in-place pilot runs the same IEEE operations in the same order
+        # the in-place pilot runs the same IEEE operations in the same order,
+        # on a single block, a ragged last block and many blocks, and leaves
+        # the generator where the one-shot draws leave it
         problem = UtilityProblem.from_seed(20, eta=0.5, epsilon=0.5, seed=3)
-        for seed in range(3):
-            got = problem.estimate_subgradient_bound(
-                np.random.default_rng(seed), pilot_size=2_000
-            )
-            want = _out_of_place_subgradient_bound(
-                problem, np.random.default_rng(seed), 2_000
-            )
+        sizes = [2_000] * 3 + [smoothing.ROW_BLOCK - 1, smoothing.ROW_BLOCK + 1, 100_000]
+        for seed, size in enumerate(sizes):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = problem.estimate_subgradient_bound(got_rng, pilot_size=size)
+            want = _out_of_place_subgradient_bound(problem, want_rng, size)
             assert got == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_pilot_bound_keeps_one_sample_block_live(self):
+        # the xi rows are replayed a block at a time beside the ball rows
+        problem = UtilityProblem.from_seed(20, eta=0.5, epsilon=0.5, seed=3)
+        peak = _traced_peak(
+            lambda: problem.estimate_subgradient_bound(np.random.default_rng(0))
+        )
+        assert peak < 1.4 * 100_000 * 20 * 8
 
     def test_sandwich_property(self):
         # f <= f_hat <= f + eps*C at random feasible points, within MC noise
@@ -252,6 +318,35 @@ class TestUtilityProblem:
             f_val, se_val = _mc_plain_value(problem, x, 20_000, rng)
             sigma = 3.0 * math.hypot(se_hat, se_val)
             assert f_val - sigma <= f_hat <= f_val + problem.epsilon * cap + sigma
+
+
+def _traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _frozen_value_grad(problem, z, x):
+    """build_saa's value_grad as it was before it went a block at a time:
+    the same formula on the whole sample at once."""
+    v_h, s_h, knots = problem._envelope
+    a, eta = problem.coeff_base, problem.eta
+    mu = z @ a + a @ x
+    sig = np.sqrt(np.maximum(np.einsum("ij,ij->i", z, z) + 2.0 * (z @ x) + x @ x, 0.0))
+    psi, d_mu, d_sig = _gaussian_max_affine(mu, sig, v_h, s_h, knots)
+    value = float(psi.mean() + 0.5 * eta * (sig**2).mean())
+    c = d_sig / np.maximum(sig, 1e-12)
+    grad = (
+        a * d_mu.mean()
+        + x * c.mean()
+        + np.einsum("i,ij->j", c, z) / z.shape[0]
+        + eta * (x + z.mean(axis=0))
+    )
+    return value, grad
 
 
 def _out_of_place_subgradient_bound(problem, rng, pilot_size):
@@ -376,6 +471,24 @@ class TestUtilitySaa:
         assert np.array_equal(cold, reused) and np.array_equal(cold, elsewhere)
         assert np.array_equal(cold, cold.T)
         assert np.max(np.abs(cold - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_value_grad_matches_the_whole_sample_formula_bitwise(self):
+        # one block, a ragged second block, several blocks; two envelopes
+        x_points = [np.full(20, 0.05), np.random.default_rng(26).dirichlet(np.ones(20))]
+        for seed, m in enumerate([1_000, smoothing.ROW_BLOCK + 1, 3 * smoothing.ROW_BLOCK + 17]):
+            problem = UtilityProblem.from_seed(20, eta=0.5, epsilon=0.5, seed=seed)
+            z = smoothing.sample_ball_batch(m, 20, problem.epsilon, np.random.default_rng(27))
+            saa = problem.build_saa(m, np.random.default_rng(27))
+            for x in x_points:
+                value, grad = saa.value_grad(x)
+                want_value, want_grad = _frozen_value_grad(problem, z, x)
+                assert value == want_value and grad.tobytes() == want_grad.tobytes()
+
+    def test_value_grad_memory_above_the_sample(self):
+        # the per-piece columns of _gaussian_max_affine stay block-sized
+        problem = UtilityProblem.from_seed(20, eta=0.5, epsilon=0.5, seed=0)
+        saa = problem.build_saa(100_000, np.random.default_rng(28))
+        assert _traced_peak(lambda: saa.value_grad(np.full(20, 0.05))) < 8 * 2**20
 
 
 def _full_formula_hessian(problem, z, x):
@@ -539,6 +652,28 @@ class TestBimatrixProblem:
             err = np.linalg.norm(draws.mean(axis=0) - exact)
             assert err <= 3.0 * math.sqrt(draws.var(axis=0).sum() / m)
 
+    def test_oracle_samples_match_the_frozen_formula_bitwise(self):
+        # perturbed points leave the orthant, so the shifted index weights and
+        # the signed zeros of both blocks are exercised
+        rng = np.random.default_rng(29)
+        x, y = rng.dirichlet(np.ones(20)), np.full(20, 0.05)
+        x[:3] = 0.0
+        for matrix in (None, rng.normal(size=(20, 20))):
+            problem = BimatrixProblem(n=20, eta=0.3, epsilon=0.5, matrix=matrix)
+            for m in (10, smoothing.ROW_BLOCK - 1, smoothing.ROW_BLOCK + 3, 2 * smoothing.ROW_BLOCK + 5):
+                got_rng, want_rng = np.random.default_rng(m), np.random.default_rng(m)
+                got = problem.oracle_samples(x, y, m, got_rng)
+                want = _frozen_oracle_samples(problem, x, y, m, want_rng)
+                assert got.tobytes() == want.tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_oracle_samples_memory(self):
+        # the rows are built in the ball block, a block of rows at a time
+        problem = BimatrixProblem(n=20, eta=0.01, epsilon=0.2)
+        x = np.full(20, 0.05)
+        rng = np.random.default_rng(30)
+        assert _traced_peak(lambda: problem.oracle_samples(x, x, 10_000, rng)) < 8 * 2**20
+
     def test_regularized_secant_inequalities(self):
         # eta-strong convexity in x and eta-strong concavity in y
         problem = BimatrixProblem(n=5, eta=0.3, epsilon=0.2)
@@ -568,6 +703,19 @@ class TestBimatrixProblem:
         outs2 = [oracle(x, x, np.random.default_rng(3)) for _ in range(2)]
         for (a1, b1), (a2, b2) in zip(outs1, outs2):
             assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+
+
+def _frozen_oracle_samples(problem, x, y, m, rng):
+    """BimatrixProblem.oracle_samples as it was before it built its rows in
+    place: the same draws, one new array per operation."""
+    n, eta, a = problem.n, problem.eta, problem.matrix
+    zeta = smoothing.sample_ball_batch(m, 2 * n, problem.epsilon, rng)
+    uniforms = rng.uniform(size=(m, 2))
+    xh = x + zeta[:, :n]
+    yh = y + zeta[:, n:]
+    l_row = _draw_indices(yh, uniforms[:, 0])
+    l_col = _draw_indices(xh, uniforms[:, 1])
+    return np.hstack([a[l_row] + eta * xh, a.T[l_col] - eta * yh])
 
 
 class _ReplayRng:

@@ -279,6 +279,35 @@ class TestChecksFireAtTheFaultyStep:
         assert "non-finite" in str(err)
         assert len(calls) == _FAULT_STEP + 1
 
+    @staticmethod
+    def _capacity(v):
+        # a capacity no third of the simplex reaches, so every good step is
+        # returned as it is
+        return problems.project_capacity(v, np.ones((1, 3)), np.array([2.0]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad_entry", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_gradient_with_capacity_projection(self, bad_entry):
+        # sa_step leaves the check to the projection
+        def bad(x):
+            g = np.zeros_like(x)
+            g[1] = bad_entry
+            return g
+
+        oracle, calls = _faulty_at(_FAULT_STEP, np.zeros_like, bad)
+        policy, err = self._run_sa(oracle, [0.1] * 10, proj=self._capacity)
+        assert "non-finite" in str(err)
+        assert len(calls) == policy.calls == _FAULT_STEP + 1
+
+    def test_overflowing_step_with_capacity_projection(self):
+        oracle, calls = _faulty_at(
+            _FAULT_STEP, np.zeros_like, lambda x: np.full_like(x, -1e308)
+        )
+        with np.errstate(over="ignore"):
+            policy, err = self._run_sa(oracle, [10.0] * 10, proj=self._capacity)
+        assert "non-finite" in str(err)
+        assert len(calls) == _FAULT_STEP + 1
+
     @pytest.mark.parametrize("gamma", _BAD_GAMMAS)
     def test_bad_steplength_after_the_first_step(self, gamma):
         gammas = [0.1] * 10

@@ -84,6 +84,44 @@ class TestRsaNext:
             rsa_next(2.5, 0.5)
 
 
+def _per_step_rsa_steps(gamma0, c, n):
+    """rsa_steps as it was, calling the validated rsa_next at every step."""
+    steps, gamma = [], gamma0
+    for _ in range(n):
+        steps.append(gamma)
+        gamma = max(rsa_next(gamma, c), GAMMA_FLOOR)
+    return np.array(steps, dtype=float)
+
+
+class TestRsaSteps:
+    @pytest.mark.parametrize(
+        "gamma0,c",
+        [
+            (0.25, 0.25),
+            (0.999 / 3.0, 3.0),
+            (math.nextafter(1.0 / 3.0, 0.0), 3.0),  # c*gamma0 rounds to 1
+            (1.5e-300, 0.5 / 1.5e-300),  # reaches the floor
+            (5e-302, 1e301),  # 1/c below the floor: the floor leaves the domain
+            (0.5, 2.0),  # gamma0 = 1/c
+            (-0.1, 1.0),
+            (0.1, 0.0),
+            (0.1, -1.0),
+        ],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2, 700])
+    def test_matches_per_step_rsa_next(self, gamma0, c, n):
+        # the same steps, bit for bit, and the same ValueError where rsa_next
+        # per step would raise one
+        try:
+            want = _per_step_rsa_steps(gamma0, c, n)
+        except ValueError as err:
+            with pytest.raises(ValueError) as info:
+                rsa_steps(gamma0, c, n)
+            assert str(info.value) == str(err)
+        else:
+            assert rsa_steps(gamma0, c, n).tobytes() == want.tobytes()
+
+
 class TestRsaNonsmoothInit:
     def test_policy_uses_eta_contraction(self):
         # the bounded-subgradient variant contracts with c = eta from
