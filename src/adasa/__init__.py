@@ -39,10 +39,10 @@ from .sa_core import (
     saddle_step,
 )
 from .smoothing import (
-    SmoothedOracle,
     ball_volume_coeff,
     sample_ball,
-    smoothed_subgradient,
+    sample_ball_batch,
+    smoothed_oracle,
     smoothing_lipschitz,
 )
 from .steplength import (

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
+import warnings
 
 from .harness import (
     PROBLEMS,
@@ -70,6 +72,19 @@ def _merge_settings(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the CLI with Python warnings (numpy's RuntimeWarnings among them)
+    routed to the logging module's "py.warnings" logger, as every other
+    diagnostic is; the caller's warning display is restored on exit."""
+    shown_by = warnings.showwarning
+    logging.captureWarnings(True)
+    try:
+        return _run(argv)
+    finally:
+        if warnings.showwarning is not shown_by:  # capture was off before
+            logging.captureWarnings(False)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     settings = _merge_settings(parser, parser.parse_args(argv))
     problem = settings.pop("problem", None)

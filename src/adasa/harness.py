@@ -26,12 +26,11 @@ from .problems import (
     project_simplex,
     saa_reference,
 )
-from .sa_core import Trajectory, run_sa, run_saddle_sa
+from .sa_core import Draw, Trajectory, run_sa, run_saddle_sa
 from .smoothing import (
     ROW_BLOCK,
-    SmoothedOracle,
     row_norms,
-    smoothed_subgradient,
+    smoothed_oracle,
     smoothing_lipschitz,
     truncate_rows,
 )
@@ -80,16 +79,29 @@ class ExperimentConfig:
     pieces: int = 5
 
     def __post_init__(self) -> None:
+        """Reject a setting outside its domain before any setup work."""
         if self.problem not in PROBLEMS:
             raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
+        if self.n < 1:
+            raise ConfigurationError(f"dimension n={self.n} must be >= 1")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1 (>= 2 for CIs)")
         if self.iters < 1:
             raise ConfigurationError("iteration budget must be >= 1")
+        if not 0.0 <= self.eta < math.inf:
+            raise ConfigurationError(f"eta={self.eta} must be finite and >= 0")
+        positive = {"eps": self.epsilon, "alpha": self.alpha, "gamma0": self.gamma0}
+        for name, value in positive.items():
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name}={value} must be finite and > 0")
         if not 0.0 < self.theta < 1.0:
             raise ConfigurationError(f"theta={self.theta} outside (0, 1)")
+        if self.saa_samples < 1_000:
+            raise ConfigurationError(f"saa_samples={self.saa_samples} must be >= 1000")
+        if self.pieces < 1:
+            raise ConfigurationError(f"pieces={self.pieces} must be >= 1")
 
 
 def resolve_config(problem: str, scheme: str, **overrides) -> ExperimentConfig:
@@ -143,9 +155,15 @@ def log_t_interval(
 
 @dataclass
 class RunSetup:
+    """What the engine needs of a problem: the block sampler draw(m, rng),
+    whose rows the oracle reads one per step, the projection (None for the
+    saddle engine, which projects onto simplices itself), the start and the
+    constants of the schedules and bounds."""
+
     kind: str  # "min" | "saddle"
     problem: object
     oracle: Callable
+    draw: Draw
     proj: Callable | None
     x0: np.ndarray
     y0: np.ndarray | None
@@ -162,10 +180,7 @@ def _setup_utility(config: ExperimentConfig) -> RunSetup:
     )
     pilot_rng = np.random.default_rng([config.seed, _TAG_PILOT])
     subgrad_bound = problem.estimate_subgradient_bound(pilot_rng)
-    smoothed = SmoothedOracle(
-        inner=problem.oracle, n=config.n, epsilon=config.epsilon, subgrad_bound=subgrad_bound
-    )
-    oracle = lambda x, rng: smoothed_subgradient(smoothed, x, rng)
+    oracle = smoothed_oracle(problem.oracle, config.n, subgrad_bound)
     # start at a vertex: initial squared error ~1 on the regularized problem,
     # the level the reported experiments start from
     x0 = np.zeros(config.n)
@@ -183,7 +198,9 @@ def _setup_utility(config: ExperimentConfig) -> RunSetup:
         "d2": 2.0,
         "e0": 2.0,
     }
-    return RunSetup("min", problem, oracle, project_simplex, x0, None, constants)
+    return RunSetup(
+        "min", problem, oracle, problem.draw, project_simplex, x0, None, constants
+    )
 
 
 def _setup_bimatrix(config: ExperimentConfig) -> RunSetup:
@@ -200,7 +217,9 @@ def _setup_bimatrix(config: ExperimentConfig) -> RunSetup:
         "d2": problem.diameter_squared(),
         "e0": problem.diameter_squared(),
     }
-    return RunSetup("saddle", problem, oracle, None, x0, x0.copy(), constants)
+    return RunSetup(
+        "saddle", problem, oracle, problem.draw, None, x0, x0.copy(), constants
+    )
 
 
 def _setup_network(config: ExperimentConfig) -> RunSetup:
@@ -227,6 +246,7 @@ def _setup_network(config: ExperimentConfig) -> RunSetup:
         "min",
         problem,
         problem.oracle,
+        problem.draw,
         problem.projection(),
         np.zeros(config.n),
         None,
@@ -393,6 +413,7 @@ def run_replications(
             if setup.kind == "saddle":
                 traj = run_saddle_sa(
                     setup.oracle,
+                    setup.draw,
                     policy,
                     setup.x0,
                     setup.y0,
@@ -403,6 +424,7 @@ def run_replications(
             else:
                 traj = run_sa(
                     setup.oracle,
+                    setup.draw,
                     setup.proj,
                     policy,
                     setup.x0,

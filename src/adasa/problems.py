@@ -6,6 +6,10 @@ pair of simplices, and a network rate-allocation problem with capacity
 constraints. Each exposes a sampled-gradient oracle for the SA engine, exact
 constants for the steplength schedules, and a deterministic sample-average
 objective whose minimizer serves as the reference for error curves.
+
+The SA noise of each problem comes from one block sampler, draw(m, rng), whose
+(m, w) array holds one step's variates per row; the run oracles read a row,
+never the generator, and the pilots evaluate the same rows in blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .smoothing import ROW_BLOCK, sample_ball, sample_ball_batch
+# sample_ball is imported only so that a tracer can patch it here; no
+# problem draws one ball at a time
+from .smoothing import ROW_BLOCK, fill_normals, sample_ball, sample_ball_batch  # noqa: F401
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # a relative change of F this small is rounding, too small for Armijo to rank
@@ -496,13 +502,25 @@ class UtilityProblem:
         slopes = np.sort(rng.uniform(0.0, 1.0, pieces))
         return cls(n=n, intercepts=intercepts, slopes=slopes, eta=eta, epsilon=epsilon)
 
-    def oracle(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Subgradient sample of the regularized integrand at the queried point."""
-        xi = rng.standard_normal(self.n)
+    def oracle(self, point: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Subgradient sample of the regularized integrand at point for the
+        noise draw xi: the smoothed_oracle inner on a row of draw. It makes
+        _subgradient_rows' operations on one row, so its output is bitwise
+        that row's: its dot product is the one vecdot takes per row."""
         coeff = self.coeff_base + xi
-        t = float(coeff @ x)
-        active = int((self.intercepts + self.slopes * t).argmax())
-        return self.slopes[active] * coeff + self.eta * x
+        t = coeff.dot(point)
+        active = (self.intercepts + self.slopes * t).argmax()
+        g = self.slopes[active] * coeff
+        g += self.eta * point
+        return g
+
+    def draw(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m rows [xi, z]: the m x n block of standard normals xi, then
+        sample_ball_batch's m ball draws z, each block written in place."""
+        rows = np.empty((m, 2 * self.n))
+        fill_normals(rows[:, : self.n], rng)
+        sample_ball_batch(m, self.n, self.epsilon, rng, out=rows[:, self.n :])
+        return rows
 
     def estimate_subgradient_bound(
         self,
@@ -538,10 +556,10 @@ class UtilityProblem:
         self, x: np.ndarray, m: int, rng: np.random.Generator
     ) -> np.ndarray:
         """m samples of the inner oracle at ball-perturbed copies of x, one per
-        row: the xi block, then the ball block, drawn at once and combined a
-        block of rows at a time by _subgradient_rows."""
-        coeff = rng.standard_normal((m, self.n))
-        points = sample_ball_batch(m, self.n, self.epsilon, rng)
+        row of draw(m, rng), combined in place a block of rows at a time by
+        _subgradient_rows: a view of the rows' first n columns."""
+        rows = self.draw(m, rng)
+        coeff, points = rows[:, : self.n], rows[:, self.n :]
         for lo in range(0, m, ROW_BLOCK):
             self._subgradient_rows(
                 coeff[lo : lo + ROW_BLOCK], points[lo : lo + ROW_BLOCK], x
@@ -556,11 +574,14 @@ class UtilityProblem:
 
         Each operation keeps its operands and works row by row, so the rows
         are bitwise those of the out-of-place formula the tests keep, however
-        the rows are split into blocks.
+        the rows are split into blocks, and row k is the oracle's output on
+        row k of the draws. vecdot takes one BLAS dot per row, the oracle's
+        coeff.dot(point); t only picks the active piece, so no output bit
+        depends on how it is summed unless it ties a knot to the last bit.
         """
         p += x
         c += self.coeff_base
-        t = np.einsum("ij,ij->i", c, p)
+        t = np.vecdot(c, p)
         active = np.argmax(self.intercepts + self.slopes * t[:, None], axis=1)
         c *= self.slopes[active][:, None]
         p *= self.eta
@@ -694,17 +715,17 @@ def _index_weights(u: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def _draw_index(u: np.ndarray, rng: np.random.Generator) -> int:
+def _draw_index(u: np.ndarray, uniform: float) -> int:
     """Index q with probability (u_q - min(0, u)) / sum_j (u_j - min(0, u)),
-    driven by a single uniform variate."""
+    driven by one uniform variate on [0, 1)."""
     w = _index_weights(u)
-    return min(int(np.add.accumulate(w).searchsorted(rng.random(), "right")), u.size - 1)
+    return min(int(np.add.accumulate(w).searchsorted(uniform, "right")), u.size - 1)
 
 
 def _draw_indices(u: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """_draw_index on each row of u, row i driven by uniforms[i]: the same
     weights, cumulative sums and comparisons, so the same indices. On a single
-    row it is about twice as slow as _draw_index, which the SA loop keeps."""
+    row it is about twice as slow as _draw_index, which the run oracle uses."""
     shift = np.minimum(u.min(axis=1, keepdims=True), 0.0)
     w = u - shift
     total = w.sum(axis=1, keepdims=True)
@@ -740,27 +761,37 @@ class BimatrixProblem:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Row/column sample (A_{l(y), .}, -A_{., l(x)}); zero-mean noise around
         the exact pair at any feasible (x, y)."""
-        l_row = _draw_index(y, rng)
-        l_col = _draw_index(x, rng)
+        l_row = _draw_index(y, rng.random())
+        l_col = _draw_index(x, rng.random())
         return self.matrix[l_row, :].copy(), -self.matrix[:, l_col].copy()
+
+    def draw(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m rows [z, u]: sample_ball_batch's m draws z from the 2n-ball, then
+        a uniform pair u per row (y's index, then x's), each block written in
+        place."""
+        n2 = 2 * self.n
+        rows = np.empty((m, n2 + 2))
+        sample_ball_batch(m, n2, self.epsilon, rng, out=rows[:, :n2])
+        rows[:, n2:] = rng.uniform(size=(m, 2))
+        return rows
 
     def run_oracle(
         self,
-    ) -> Callable[[np.ndarray, np.ndarray, np.random.Generator], tuple[np.ndarray, np.ndarray]]:
-        """Smoothed regularized saddle oracle for the engine.
+    ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Smoothed regularized saddle oracle for the engine, on a row of draw.
 
-        One joint uniform draw from the 2n-ball perturbs both blocks; indices are
-        sampled at the perturbed pair, and the y-part is returned in ascent
+        One joint uniform draw z from the 2n-ball perturbs both blocks; indices
+        are sampled at the perturbed pair, and the y-part is returned in ascent
         convention: (A_{l(y+z2), .} + eta*(x+z1), A_{., l(x+z1)} - eta*(y+z2)).
         """
-        n, eta, eps, a = self.n, self.eta, self.epsilon, self.matrix
+        n, eta, a = self.n, self.eta, self.matrix
+        n2 = 2 * n
 
-        def oracle(x, y, rng):
-            zeta = sample_ball(2 * n, eps, rng)
-            xh = x + zeta[:n]
-            yh = y + zeta[n:]
-            l_row = _draw_index(yh, rng)
-            l_col = _draw_index(xh, rng)
+        def oracle(x, y, row):
+            xh = x + row[:n]
+            yh = y + row[n:n2]
+            l_row = _draw_index(yh, row[n2])
+            l_col = _draw_index(xh, row[n2 + 1])
             gx = a[l_row, :] + eta * xh
             gy = a[:, l_col] - eta * yh
             return gx, gy
@@ -770,26 +801,26 @@ class BimatrixProblem:
     def oracle_samples(
         self, x: np.ndarray, y: np.ndarray, m: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """m run-oracle samples at (x, y), one row [gx, gy] each, from block
-        draws: the 2n-ball rows, then a uniform pair per row (y's index, x's).
+        """m run-oracle samples at (x, y), one row [gx, gy] each, from the rows
+        of draw(m, rng): a view of their first 2n columns.
 
-        The rows are built in place in the ball block, a block of rows at a
-        time. IEEE addition commutes and a - b is a + (-b) exactly, so
+        The samples are built in place in the ball columns, a block of rows at
+        a time. IEEE addition commutes and a - b is a + (-b) exactly, so
         eta*xh + A_l and (-eta)*yh + A_l are run_oracle's bits."""
         n, eta, a = self.n, self.eta, self.matrix
-        out = sample_ball_batch(m, 2 * n, self.epsilon, rng)
-        uniforms = rng.uniform(size=(m, 2))
+        rows = self.draw(m, rng)
         for lo in range(0, m, ROW_BLOCK):
-            xh, yh = out[lo : lo + ROW_BLOCK, :n], out[lo : lo + ROW_BLOCK, n:]
+            block = rows[lo : lo + ROW_BLOCK]
+            xh, yh = block[:, :n], block[:, n : 2 * n]
             xh += x
             yh += y
-            l_row = _draw_indices(yh, uniforms[lo : lo + ROW_BLOCK, 0])
-            l_col = _draw_indices(xh, uniforms[lo : lo + ROW_BLOCK, 1])
+            l_row = _draw_indices(yh, block[:, 2 * n])
+            l_col = _draw_indices(xh, block[:, 2 * n + 1])
             xh *= eta
             xh += a[l_row]
             yh *= -eta
             yh += a.T[l_col]
-        return out
+        return rows[:, : 2 * n]
 
     def lipschitz(self) -> float:
         """Exact Lipschitz constant ||A||_2 + eta of the regularized operator
@@ -920,15 +951,22 @@ class NetworkProblem:
                 a[rng.integers(links), i] = 1.0
         return cls(n=n, link_matrix=a, capacity=cap, k_range=k_range)
 
-    def sample_k(self, rng: np.random.Generator) -> np.ndarray:
-        """k uniform on k_range: the bits of rng.uniform(lo, hi, n), which
-        forms lo + (hi - lo) * U from the same doubles."""
+    def draw(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m rows k, each uniform on k_range: the bits of
+        rng.uniform(lo, hi, (m, n)), which forms lo + (hi - lo) * U from the
+        same doubles. The doubles of rng.random((m, n)) are those of m
+        rng.random(n) calls in turn, so row i is the i-th of m sample_k
+        calls."""
         lo, hi = self.k_range
-        return lo + (hi - lo) * rng.random(self.n)
+        return lo + (hi - lo) * rng.random((m, self.n))
 
-    def oracle(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """network_gradient(x, sample_k(rng), A), bit for bit, for a float x."""
-        k = self.sample_k(rng)
+    def sample_k(self, rng: np.random.Generator) -> np.ndarray:
+        """One k: draw's single row."""
+        return self.draw(1, rng)[0]
+
+    def oracle(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """network_gradient(x, k, A), bit for bit, for a float x; k is a row
+        of draw."""
         if x.min() <= -1.0:
             raise ValueError("log(1+x) undefined: some component is <= -1")
         # -k / (1 + x), one ufunc fewer: negation is exact and IEEE + and /

@@ -1,9 +1,15 @@
 """Projected stochastic gradient engine for minimization and saddle problems.
 
-The engine is deliberately small: it threads a caller-owned RNG through a
-sampled-gradient oracle, applies a steplength policy, projects, and records the
-squared distance to a reference point before every update. All problem
-structure lives in the oracle and the projection.
+The engine is deliberately small: it draws a trajectory's noise from a
+caller-owned RNG through the problem's block sampler, hands row k of it to a
+sampled-gradient oracle at step k, applies a steplength policy, projects, and
+records the squared distance to a reference point before every update. All
+problem structure lives in the sampler, the oracle and the projection.
+
+draw(m, rng) returns an (m, w) array, one step's variates per row. The engine
+calls it once per chunk of at most ROW_BLOCK steps, in step order, so a
+trajectory of N steps reads the stream as draw(ROW_BLOCK), draw(ROW_BLOCK), ...,
+draw(N mod ROW_BLOCK) would, and no more than a chunk of rows is ever live.
 
 A projection passed to run_sa or sa_step must reject non-finite input with a
 ValueError, as project_simplex and project_capacity do: the engine checks the
@@ -19,8 +25,10 @@ from typing import Callable
 import numpy as np
 
 from . import problems
+from .smoothing import ROW_BLOCK
 
 Projection = Callable[[np.ndarray], np.ndarray]
+Draw = Callable[[int, np.random.Generator], np.ndarray]
 
 
 @dataclass
@@ -57,8 +65,15 @@ def sa_step(
     return candidate
 
 
+def _chunks(draw: Draw, n_iters: int, rng: np.random.Generator):
+    """(k, row k) for k < n_iters, the rows drawn a chunk at a time."""
+    for lo in range(0, n_iters, ROW_BLOCK):
+        yield from enumerate(draw(min(ROW_BLOCK, n_iters - lo), rng), lo)
+
+
 def run_sa(
-    oracle: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    oracle: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    draw: Draw,
     proj: Projection | None,
     policy,
     x0: np.ndarray,
@@ -68,7 +83,8 @@ def run_sa(
 ) -> Trajectory:
     """Run n_iters projected SA steps, recording the pre-update error at each k.
 
-    Entry k holds the steplength gamma_k = policy.next_gamma() and
+    Step k samples the gradient as oracle(x_k, row k of the draws). Entry k
+    holds the steplength gamma_k = policy.next_gamma() and
     ||x_k - reference||^2; the error after the final update is stored
     separately on the trajectory.
     sa_step rejects a steplength that is not positive and finite.
@@ -85,11 +101,11 @@ def run_sa(
         raise ValueError("x0 contains non-finite entries")
     gammas = np.empty(n_iters)
     errors = np.empty(n_iters)
-    for k in range(n_iters):
+    for k, row in _chunks(draw, n_iters, rng):
         gammas[k] = gamma = policy.next_gamma()
         diff = x - reference
         errors[k] = diff @ diff
-        x = sa_step(x, oracle(x, rng), gamma, proj)
+        x = sa_step(x, oracle(x, row), gamma, proj)
     diff = x - reference
     return Trajectory(
         gammas=gammas,
@@ -127,9 +143,10 @@ def saddle_step(
 
 def run_saddle_sa(
     oracle: Callable[
-        [np.ndarray, np.ndarray, np.random.Generator],
+        [np.ndarray, np.ndarray, np.ndarray],
         tuple[np.ndarray, np.ndarray],
     ],
+    draw: Draw,
     policy,
     x0: np.ndarray,
     y0: np.ndarray,
@@ -139,7 +156,7 @@ def run_saddle_sa(
 ) -> Trajectory:
     """Saddle-point analogue of run_sa on the stacked pair z = (x, y).
 
-    The oracle returns (gx, gy) with gy in ascent convention; errors are
+    oracle(x, y, row k) returns (gx, gy) with gy in ascent convention; errors are
     ||z_k - reference||^2 against the stacked regularized reference. x and y
     are views into z, overwritten by every step.
     """
@@ -153,11 +170,11 @@ def run_saddle_sa(
         raise ValueError("reference must stack the x and y components")
     gammas = np.empty(n_iters)
     errors = np.empty(n_iters)
-    for k in range(n_iters):
+    for k, row in _chunks(draw, n_iters, rng):
         gammas[k] = gamma = policy.next_gamma()
         diff = z - reference
         errors[k] = diff @ diff
-        gx, gy = oracle(x, y, rng)
+        gx, gy = oracle(x, y, row)
         x[...], y[...] = saddle_step(x, y, gx, gy, gamma)
     diff = z - reference
     return Trajectory(

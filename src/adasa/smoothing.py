@@ -6,23 +6,26 @@ subgradient norms on the enlarged set and kappa is 2/pi for even n, 1 for odd n.
 The dimension factor kappa * (n!!/(n-1)!!) equals 2*c_{n-1}/c_n (c_n the unit-ball
 volume), so kappa * (n!!/(n-1)!!)/sqrt(n) decreases to sqrt(2/pi) ~ 0.798.
 Sampling a subgradient at a ball-perturbed point gives an unbiased estimate of
-the smoothed gradient.
+the smoothed gradient; smoothed_oracle does so on a row of a block draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-Oracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+# a sampled oracle on the row contract: oracle(x, row) reads one row of a
+# block draw, never the generator
+Oracle = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 LOG_DOUBLE_FACTORIAL_CUTOFF = 150  # beyond this n!! overflows float64
 # rows per block of a pass over an m x n sample, so its temporaries stay near
-# 1 MB however large m is; the utility Hessian adds its sums block by block, so
-# this value is also part of the utility reference's bits
+# 1 MB however large m is; the utility Hessian adds its sums block by block,
+# and the SA engine draws a trajectory's noise this many steps at a time, so
+# this value is also part of the utility reference's bits and of every
+# trajectory longer than one block
 ROW_BLOCK = 8192
 
 
@@ -59,11 +62,27 @@ def sample_ball(n: int, epsilon: float, rng: np.random.Generator) -> np.ndarray:
     return (radius / norm) * direction
 
 
+def fill_normals(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Standard normals into the rows of out (an m x n array or column view),
+    a block of rows at a time: the values and rng's end state are those of
+    one rng.standard_normal((m, n)) call, without an m x n temporary."""
+    for lo in range(0, out.shape[0], ROW_BLOCK):
+        block = out[lo : lo + ROW_BLOCK]
+        block[...] = rng.standard_normal(block.shape)
+    return out
+
+
 def sample_ball_batch(
-    m: int, n: int, epsilon: float, rng: np.random.Generator
+    m: int,
+    n: int,
+    epsilon: float,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """m independent uniform ball draws, one per row."""
-    directions = rng.standard_normal((m, n))
+    """m independent uniform ball draws, one per row: the m x n directions,
+    then the m radii. Written to out (an m x n array or column view) when it
+    is given, so a caller can place the draws beside others in one array."""
+    directions = fill_normals(np.empty((m, n)) if out is None else out, rng)
     norms = row_norms(directions)[:, None]
     norms[norms == 0.0] = 1.0
     radii = epsilon * rng.uniform(size=(m, 1)) ** (1.0 / n)
@@ -126,43 +145,32 @@ def smoothing_lipschitz(n: int, subgrad_bound: float, epsilon: float) -> float:
     return kappa * double_factorial_ratio(n) * subgrad_bound / epsilon
 
 
-@dataclass(frozen=True)
-class SmoothedOracle:
-    """Ball-perturbed wrapper around a bounded-subgradient stochastic oracle.
+def smoothed_oracle(inner: Oracle, n: int, subgrad_bound: float | None = None) -> Oracle:
+    """Ball-perturbed wrapper around a bounded-subgradient sampled oracle.
 
-    inner(x, rng) must return a subgradient sample of the integrand at x, valid
-    on the epsilon-enlarged feasible set. When subgrad_bound is set, emitted
-    directions are rescaled onto the ball of that radius; this is how the
-    unbounded-tail oracles (Gaussian noise) are truncated to honor the bound.
+    The wrapper reads one row of a block draw: the inner oracle's own noise,
+    then an n-vector z uniform on the epsilon-ball. It returns
+    inner(x + z, noise), a subgradient sample of the smoothed function at x,
+    unbiased for the smoothed gradient up to the truncation tail. inner must
+    be valid on the epsilon-enlarged feasible set. When subgrad_bound is set,
+    a sample of larger norm is rescaled onto the ball of that radius; this is
+    how the unbounded-tail oracles (Gaussian noise) are truncated to honor
+    the bound.
     """
 
-    inner: Oracle
-    n: int
-    epsilon: float
-    subgrad_bound: float | None = None
+    def oracle(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+        g = inner(x + row[-n:], row[:-n])
+        if subgrad_bound is not None:
+            norm = math.sqrt(g.dot(g))  # np.linalg.norm(g), bit for bit
+            if norm > subgrad_bound:
+                g = g * (subgrad_bound / norm)
+        return g
 
-
-def smoothed_subgradient(
-    oracle: SmoothedOracle, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Subgradient sample of the smoothed function at x.
-
-    Draws z uniform on the epsilon-ball, queries the inner oracle at x + z, and
-    truncates to the declared norm bound. Unbiased for the smoothed gradient up
-    to the truncation tail.
-    """
-    z = sample_ball(oracle.n, oracle.epsilon, rng)
-    # contiguous, so that sqrt(g @ g) is np.linalg.norm(g) bit for bit
-    g = np.ascontiguousarray(oracle.inner(x + z, rng), dtype=float)
-    if oracle.subgrad_bound is not None:
-        norm = math.sqrt(g @ g)
-        if norm > oracle.subgrad_bound:
-            g = g * (oracle.subgrad_bound / norm)
-    return g
+    return oracle
 
 
 def truncate_rows(g: np.ndarray, bound: float) -> np.ndarray:
-    """smoothed_subgradient's truncation applied to each row of g, in place:
+    """smoothed_oracle's truncation applied to each row of g, in place:
     rows with norm above bound are rescaled onto the ball of that radius."""
     norms = row_norms(g)
     over = norms > bound

@@ -35,34 +35,34 @@ SIZE = {"replications": 3, "iters": 300, "seed": 0}
 # (problem, scheme): (CSV SHA-256, meta.json SHA-256, repr(terminal_mean))
 GOLDEN = {
     ("utility", "hsa"): (
-        "2ce0448efedae28b1deed7b46e1b229cbe584cf0a405ae729a501a366f2769d5",
-        "660142e0c10e83c995505c1be39bd7ef1133d2ed32fe4ca8f613199ee4b9efce",
-        "0.010118532569394214",
+        "28e043edca4df9a80109afb186d6ecc34eefb0caffd96c6e46da5f59929dbf1d",
+        "e1a2c6e1faf1b91d3a4e068f9af450d3e32447e563c631e6929a85c1e67026a9",
+        "0.007202623571140674",
     ),
     ("utility", "rsa"): (
-        "5840f883904e99bf3847de71dbb929366fae4980aba95d23f528e2dce6c29ceb",
-        "c48e1eb5f7ca8c3257cfaaf77b24b398a8b15bc924798a39f6c260f025cd67a7",
-        "0.012178205341345574",
+        "eb44f303d9a831dfe4841f1107463b49f25da160e283c5e83bca64242824a4c7",
+        "7289420147a6a156ef38c6d947e4ed1809d6135b3696d6ec370928efd44a2059",
+        "0.011641331165745457",
     ),
     ("utility", "csa"): (
-        "7299c95e336b2692701d54ac6fe814e145097b242d95760e7e97d18971f870d5",
-        "b97388d69ea206ff4175a41c755036d9bf25b895ba00a14553564799233cdc5a",
-        "0.012434070984887238",
+        "1ea511912d6121a829213cffcb3ad27079abfa3423bf5ef7a140a0243d3562dd",
+        "2f80a98f5714ea7d42ce92d03573f16bb63919ca7cc8e7e7b4800d42b033395a",
+        "0.01333124142126108",
     ),
     ("bimatrix", "hsa"): (
-        "408213ce992fb00c152539541f720755439879c76c57cd52b436576028b99237",
-        "2a084de4014adf20bb76a14b8e9e753213afffeb36bfe7372af8138b4ac05aef",
-        "0.7414987291663113",
+        "6a942d244c267502417148a15bd569e5a59fd73df54142fe0167fea2e1832112",
+        "ada151abc5ace4daa52cdd6f9c4aac63c2bf485ad123c7aaf34855c0bddda574",
+        "0.7421550943379812",
     ),
     ("bimatrix", "rsa"): (
-        "d522a566b912bf7ae60a52c91108eee49196b0b51710b2d114edc13843834678",
-        "76df14ba7645d35f552bcf2ab361134307fe4c02052de9bce5aded1ae810daa0",
-        "0.9465898200845727",
+        "e6e44decd1a326ca9bb3dd8bef4fd7a55372c652a7af2a72f6106f4dacd30110",
+        "83702fb496e4c3ff3ddcaa2a4384db6c5178be5b7a6224882e359e7879d04315",
+        "0.9466914602881787",
     ),
     ("bimatrix", "csa"): (
-        "ad2b0e1ee9a934429ba25ac70f5bcf9eab408ec639a6b2b5890c6d790796de5e",
-        "69970b67c6670831ca57e46363e52698b1687aaa00c8de9ae79b46e44e2335b5",
-        "0.7426930642388286",
+        "46ac58ab87eaa03c4b4e954d211a8819614c0d803ad358dfc70b0fe31044d9fc",
+        "1542fae12c0b5aa4e0bc1c48f012efb1ad60dd48a8b4addd7d63ea1fd5432c24",
+        "0.7427746304452465",
     ),
     ("network", "hsa"): (
         "dbe43f1f526775fd93e247be582507ddb0ef3a68271be32c5837d47f886b3b91",

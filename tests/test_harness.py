@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from adasa.harness import (
 )
 from adasa.problems import Reference
 from adasa.sa_core import Trajectory
-from adasa.steplength import GAMMA_FLOOR
+from adasa.steplength import GAMMA_FLOOR, ConfigurationError
 
 
 def _read_csv(path):
@@ -316,10 +317,12 @@ def test_pilot_noise_bound_matches_the_whole_sample_formula_bitwise(m):
 
 
 class TestLayerHooks:
-    """The benchmark's tracer times the step, the steplength, the simplex
-    projection and the ball draw by replacing these module attributes, so the
-    engine must look each one up at call time, once per iteration (twice for
-    the saddle projections). Inlining one would silently zero its layer."""
+    """The benchmark's tracer times the step, the steplength and the simplex
+    projection by replacing these module attributes, so the engine must look
+    each one up at call time, once per iteration (twice for the saddle
+    projections). Inlining one would silently zero its layer. The ball draws
+    are made a chunk of steps at a time, one sample_ball_batch call per chunk
+    of each replication, and no step draws a single ball."""
 
     @pytest.mark.parametrize(
         "problem,balls,projections",
@@ -344,6 +347,7 @@ class TestLayerHooks:
         counting(problems, "project_simplex")
         counting(smoothing, "sample_ball")
         counting(problems, "sample_ball")
+        counting(problems, "sample_ball_batch")
         make_policy = harness.make_policy
 
         def counting_policy(*args):
@@ -367,7 +371,7 @@ class TestLayerHooks:
         assert counts.pop(step) == steps
         assert counts.pop("next_gamma") == steps
         assert counts.pop("project_simplex", 0) == projections * steps
-        assert counts.pop("sample_ball", 0) == balls * steps
+        assert counts.pop("sample_ball_batch", 0) == balls * config.replications
         assert counts == {}
 
     @pytest.mark.parametrize("problem", ["network", "bimatrix"])
@@ -390,6 +394,78 @@ class TestLayerHooks:
         harness.run_replications(config, reference=_fixed_reference(setup), setup=setup)
         engine = "run_saddle_sa" if setup.kind == "saddle" else "run_sa"
         assert counts == {engine: 3, "make_policy": 3, "bound_trajectory": 1}
+
+def _frozen_ball(m, n, eps, rng):
+    """sample_ball_batch as one unblocked formula."""
+    directions = rng.standard_normal((m, n))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    return directions * ((eps * rng.uniform(size=(m, 1)) ** (1.0 / n)) / norms)
+
+
+class TestStreamLayout:
+    """A replication's trajectory against a loop that makes the documented
+    draws itself, step by step, with the formulas written out."""
+
+    def test_network_trajectory_equals_a_per_step_sample_k_loop(self):
+        config = resolve_config("network", "rsa", iters=300, replications=1, seed=3)
+        setup = build_setup(config)
+        problem, reference = setup.problem, _fixed_reference(setup)
+        gammas = harness.make_policy(config, setup.constants).gammas
+        got = sa_core.run_sa(
+            setup.oracle, setup.draw, setup.proj, harness.make_policy(config, setup.constants),
+            setup.x0, config.iters, reference.point, np.random.default_rng(config.seed),
+        )
+        rng = np.random.default_rng(config.seed)
+        x, errors = setup.x0.copy(), []
+        for gamma in gammas:
+            errors.append(float((x - reference.point) @ (x - reference.point)))
+            g = problems.network_gradient(x, problem.sample_k(rng), problem.link_matrix)
+            x = problems.project_capacity(x - gamma * g, problem.link_matrix, problem.capacity)
+        assert got.squared_errors.tolist() == errors
+        assert got.final_point.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("cap", ["setup", "median"])
+    def test_utility_run_past_one_chunk_equals_the_two_chunk_loop(self, cap):
+        # ROW_BLOCK + 3 steps: a chunk of ROW_BLOCK rows, then one of 3, each
+        # laid out as xi block, ball directions, ball radii; the median cap
+        # truncates about half of the samples
+        n_iters = smoothing.ROW_BLOCK + 3
+        config = resolve_config("utility", "hsa", n=4, iters=n_iters, replications=1,
+                                seed=2, alpha=0.1)
+        setup = build_setup(config)
+        problem, n, eps = setup.problem, config.n, config.epsilon
+        bound = setup.constants["C"]
+        if cap == "median":
+            pilot = problem.subgradient_samples(setup.x0, 1000, np.random.default_rng(4))
+            bound = float(np.median(np.linalg.norm(pilot, axis=1)))
+        oracle = smoothing.smoothed_oracle(problem.oracle, n, bound)
+        reference = _fixed_reference(setup).point
+        got = sa_core.run_sa(
+            oracle, setup.draw, setup.proj, harness.make_policy(config, setup.constants),
+            setup.x0, n_iters, reference, np.random.default_rng(config.seed),
+        )
+        gammas = harness.make_policy(config, setup.constants).gammas
+        rng = np.random.default_rng(config.seed)
+        x, errors, truncated = setup.x0.copy(), [], 0
+        for lo, m in ((0, smoothing.ROW_BLOCK), (smoothing.ROW_BLOCK, 3)):
+            xi = rng.standard_normal((m, n))
+            z = _frozen_ball(m, n, eps, rng)
+            for k in range(m):
+                errors.append(float((x - reference) @ (x - reference)))
+                point = x + z[k]
+                coeff = problem.coeff_base + xi[k]
+                t = np.einsum("i,i->", coeff, point)
+                active = np.argmax(problem.intercepts + problem.slopes * t)
+                g = problem.slopes[active] * coeff + problem.eta * point
+                norm = np.linalg.norm(g)
+                if norm > bound:
+                    g, truncated = g * (bound / norm), truncated + 1
+                x = problems.project_simplex(x - gammas[lo + k] * g)
+        assert got.squared_errors.tolist() == errors
+        assert got.final_point.tobytes() == x.tobytes()
+        if cap == "median":
+            assert 0 < truncated < n_iters
+
 
 class TestCiColumnsAudit:
     def test_log_ci_brackets_mean_on_transient_dominated_run(self):
@@ -449,8 +525,16 @@ class TestCli:
         [
             (["--theta", "1.5"], "theta=1.5 outside (0, 1)"),
             (["--replications", "0"], "replications must be >= 1 (>= 2 for CIs)"),
+            (["--n", "0"], "dimension n=0 must be >= 1"),
+            (["--eta", "-1"], "eta=-1.0 must be finite and >= 0"),
+            (["--eta", "nan"], "eta=nan must be finite and >= 0"),
+            (["--eps", "0"], "eps=0.0 must be finite and > 0"),
+            (["--eps", "inf"], "eps=inf must be finite and > 0"),
+            (["--alpha", "0"], "alpha=0.0 must be finite and > 0"),
+            (["--gamma0", "-1"], "gamma0=-1.0 must be finite and > 0"),
         ],
-        ids=["theta", "replications"],
+        ids=["theta", "replications", "n", "eta", "eta-nan", "eps", "eps-inf",
+             "alpha", "gamma0"],
     )
     def test_configuration_errors_are_reported_before_setup(
         self, tmp_path, capsys, monkeypatch, flags, message
@@ -462,6 +546,15 @@ class TestCli:
         argv = ["--problem", "utility", "--scheme", "csa", "--out", str(tmp_path / "o.csv")]
         assert cli_main(argv + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("saa_samples", 999), ("pieces", 0), ("eta", math.inf), ("alpha", math.nan)],
+    )
+    def test_settings_without_a_flag_are_checked_too(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            resolve_config("utility", "rsa", **{field: value})
+        resolve_config("utility", "rsa", eta=0.0, saa_samples=1_000, pieces=1)
 
     def test_schedule_errors_are_reported_before_the_reference_solve(
         self, tmp_path, capsys, monkeypatch
@@ -479,6 +572,37 @@ class TestCli:
             "error: phase 1 failed to find a feasible steplength"
         )
         assert not out.exists()
+
+    def test_warnings_are_logged_and_the_display_restored(self, tmp_path, caplog, monkeypatch):
+        # a network run whose oracle goes non-finite: numpy warns of the
+        # 0 * inf in A v before project_capacity rejects the vector
+        def infinite_step(config):
+            problems.project_capacity(np.array([np.inf, 0.0]), np.eye(2), np.ones(2))
+
+        monkeypatch.setattr(adasa.cli, "run_replications", infinite_step)
+        argv = ["--problem", "network", "--scheme", "rsa", "--out", str(tmp_path / "o.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            shown_by = warnings.showwarning
+            with caplog.at_level(logging.WARNING, logger="py.warnings"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    cli_main(argv)
+            assert warnings.showwarning is shown_by
+        (record,) = [r for r in caplog.records if r.name == "py.warnings"]
+        assert "RuntimeWarning: invalid value encountered in matmul" in record.getMessage()
+
+    def test_warning_capture_left_on_when_it_was_on(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(adasa.cli, "run_replications", lambda config: 1 / 0)
+        argv = ["--problem", "network", "--scheme", "rsa", "--out", str(tmp_path / "o.csv")]
+        with warnings.catch_warnings():
+            logging.captureWarnings(True)
+            try:
+                captured = warnings.showwarning
+                with pytest.raises(ZeroDivisionError):
+                    cli_main(argv)
+                assert warnings.showwarning is captured
+            finally:
+                logging.captureWarnings(False)
 
     def test_unknown_config_key_names_it(self, tmp_path):
         # exact flag names only: an abbreviation the parser would accept on the

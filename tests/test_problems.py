@@ -215,10 +215,9 @@ class TestUtilityProblem:
 
     def test_single_piece_oracle_is_linear(self):
         problem = self._problem(intercepts=np.array([0.2]), slopes=np.array([0.7]))
-        rng = np.random.default_rng(4)
         xi = np.random.default_rng(4).standard_normal(4)
         x = np.full(4, 0.25)
-        out = problem.oracle(x, rng)
+        out = problem.oracle(x, xi)
         expected = 0.7 * (problem.coeff_base + xi) + 0.5 * x
         assert np.allclose(out, expected)
 
@@ -248,8 +247,10 @@ class TestUtilityProblem:
     def test_oracle_determinism(self):
         problem = UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=10)
         x = np.full(5, 0.2)
-        a = [problem.oracle(x, np.random.default_rng(42)) for _ in range(3)]
-        b = [problem.oracle(x, np.random.default_rng(42)) for _ in range(3)]
+        a, b = (
+            [problem.oracle(x + row[5:], row[:5]) for row in problem.draw(3, np.random.default_rng(42))]
+            for _ in range(2)
+        )
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_oracle_mean_matches_smoothed_gradient(self):
@@ -646,7 +647,9 @@ class TestBimatrixProblem:
         exact = np.concatenate([op_x, -op_y])
         oracle = problem.run_oracle()
         m = 50_000
-        engine = np.array([np.concatenate(oracle(x, y, rng)) for _ in range(m)])
+        engine = np.array(
+            [np.concatenate(oracle(x, y, row)) for row in problem.draw(m, rng)]
+        )
         pilot = problem.oracle_samples(x, y, m, rng)
         for draws in (engine, pilot):
             err = np.linalg.norm(draws.mean(axis=0) - exact)
@@ -699,8 +702,10 @@ class TestBimatrixProblem:
         problem = BimatrixProblem(n=6, eta=0.01, epsilon=0.2)
         oracle = problem.run_oracle()
         x = np.full(6, 1 / 6)
-        outs1 = [oracle(x, x, np.random.default_rng(3)) for _ in range(2)]
-        outs2 = [oracle(x, x, np.random.default_rng(3)) for _ in range(2)]
+        outs1, outs2 = (
+            [oracle(x, x, row) for row in problem.draw(2, np.random.default_rng(3))]
+            for _ in range(2)
+        )
         for (a1, b1), (a2, b2) in zip(outs1, outs2):
             assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
@@ -718,40 +723,6 @@ def _frozen_oracle_samples(problem, x, y, m, rng):
     return np.hstack([a[l_row] + eta * xh, a.T[l_col] - eta * yh])
 
 
-class _ReplayRng:
-    """Generator stand-in that hands out prepared draws: the whole block when a
-    call asks for a 2-d block, otherwise the next row of normals or the next
-    uniform (uniforms are read row by row)."""
-
-    def __init__(self, normals=None, uniforms=None):
-        self.normals, self.uniforms = normals, uniforms
-        self._rows = iter(normals if normals is not None else ())
-        self._scalars = iter(uniforms.ravel() if uniforms is not None else ())
-
-    def standard_normal(self, size):
-        if isinstance(size, tuple):
-            assert size == self.normals.shape
-            return self.normals.copy()
-        return next(self._rows).copy()
-
-    def uniform(self, size=None):
-        if size is None:
-            return float(next(self._scalars))
-        assert size == self.uniforms.shape
-        return self.uniforms.copy()
-
-    def random(self, size=None):
-        return self.uniform(size)
-
-
-def _replay_ball(monkeypatch, module, z):
-    """Make module.sample_ball return the rows of z in turn and
-    module.sample_ball_batch return z itself."""
-    rows = iter(z)
-    monkeypatch.setattr(module, "sample_ball", lambda n, eps, rng: next(rows).copy())
-    monkeypatch.setattr(module, "sample_ball_batch", lambda m, n, eps, rng: z.copy())
-
-
 class TestBatchedDraws:
     def test_row_index_draw_matches_draw_index(self):
         rng = np.random.default_rng(21)
@@ -764,51 +735,46 @@ class TestBatchedDraws:
         # uniforms sitting exactly on a cumulative weight exercise the ties
         for i in range(0, len(rows), 9):
             uniforms[i] = np.cumsum(_index_weights(u[i]))[i % n]
-        replay = _ReplayRng(uniforms=uniforms)
-        want = [_draw_index(row, replay) for row in u]
+        want = [_draw_index(row, value) for row, value in zip(u, uniforms)]
         got = _draw_indices(u, uniforms)
         assert got.tolist() == want
         assert got[-2:].tolist() == [int(uniforms[-2] * n), int(uniforms[-1] * n)]
 
-    def test_bimatrix_oracle_samples_equal_run_oracle_bitwise(self, monkeypatch):
-        problem = BimatrixProblem(n=20, eta=0.01, epsilon=0.2)
-        rng = np.random.default_rng(22)
+    def test_bimatrix_oracle_samples_equal_run_oracle_bitwise(self):
+        # the SA oracle on row k of draw is row k of the pilot; perturbed
+        # points leave the orthant, so the shifted index weights are exercised
         m = 500
-        z = smoothing.sample_ball_batch(m, 40, problem.epsilon, rng)
-        uniforms = rng.uniform(size=(m, 2))
         x = np.full(20, 1.0 / 20)
-        y = rng.dirichlet(np.ones(20))
-        _replay_ball(monkeypatch, problems_mod, z)
-        oracle = problem.run_oracle()
-        replay = _ReplayRng(uniforms=uniforms)
-        want = np.array([np.concatenate(oracle(x, y, replay)) for _ in range(m)])
-        got = problem.oracle_samples(x, y, m, _ReplayRng(uniforms=uniforms))
-        assert np.array_equal(got, want)
+        y = np.random.default_rng(22).dirichlet(np.ones(20))
+        for matrix in (None, np.random.default_rng(31).normal(size=(20, 20))):
+            problem = BimatrixProblem(n=20, eta=0.3, epsilon=0.5, matrix=matrix)
+            rows = problem.draw(m, np.random.default_rng(23))
+            assert rows.shape == (m, 42)
+            oracle = problem.run_oracle()
+            want = np.array([np.concatenate(oracle(x, y, row)) for row in rows])
+            got = problem.oracle_samples(x, y, m, np.random.default_rng(23))
+            assert got.tobytes() == want.tobytes()
 
-    def test_utility_pilot_rows_equal_smoothed_oracle(self, monkeypatch):
+    def test_utility_pilot_rows_equal_smoothed_oracle(self):
+        # the SA oracle on row k of draw is row k of the pilot before the
+        # truncation, which then differs only in how the norm is summed
         problem = UtilityProblem.from_seed(20, eta=0.5, epsilon=0.5, seed=4)
-        rng = np.random.default_rng(23)
         m = 500
-        z = smoothing.sample_ball_batch(m, 20, problem.epsilon, rng)
-        xi = rng.standard_normal((m, 20))
         x0 = np.zeros(20)
         x0[-1] = 1.0
-        _replay_ball(monkeypatch, smoothing, z)
-        _replay_ball(monkeypatch, problems_mod, z)
-        rows = problem.subgradient_samples(x0, m, _ReplayRng(normals=xi))
-        cap = float(np.median(np.linalg.norm(rows, axis=1)))  # truncate half
-        got = smoothing.truncate_rows(rows, cap)
-        oracle = smoothing.SmoothedOracle(
-            inner=problem.oracle, n=20, epsilon=problem.epsilon, subgrad_bound=cap
-        )
-        replay = _ReplayRng(normals=xi)
-        want = np.array(
-            [smoothing.smoothed_subgradient(oracle, x0, replay) for _ in range(m)]
-        )
+        rows = problem.draw(m, np.random.default_rng(23))
+        assert rows.shape == (m, 40)
+        pilot = problem.subgradient_samples(x0, m, np.random.default_rng(23))
+        plain = smoothing.smoothed_oracle(problem.oracle, 20)
+        want = np.array([plain(x0, row) for row in rows])
+        assert pilot.tobytes() == want.tobytes()
+        cap = float(np.median(np.linalg.norm(want, axis=1)))  # truncate half
+        got = smoothing.truncate_rows(pilot, cap)
+        capped_oracle = smoothing.smoothed_oracle(problem.oracle, 20, cap)
+        want = np.array([capped_oracle(x0, row) for row in rows])
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         capped = np.linalg.norm(want, axis=1) >= cap * (1.0 - 1e-12)
         assert 0 < capped.sum() < m
-
 
     def test_utility_samples_equal_the_unblocked_formula_bitwise(self):
         problem = UtilityProblem.from_seed(20, eta=0.5, epsilon=0.5, seed=4)
@@ -855,16 +821,23 @@ class TestNetworkProblem:
         for _ in range(2000):
             assert problem.sample_k(got).tobytes() == want.uniform(*k_range, 5).tobytes()
 
+    @pytest.mark.parametrize("k_range", [(0.2, 1.0), (-3.0, 7.5)])
+    def test_draw_rows_equal_sample_k_calls_bitwise(self, k_range):
+        problem = NetworkProblem.from_seed(5, "c3", seed=1, k_range=k_range)
+        got, want = np.random.default_rng(8), np.random.default_rng(8)
+        rows = problem.draw(300, got)
+        assert rows.tobytes() == np.array([problem.sample_k(want) for _ in range(300)]).tobytes()
+        assert got.bit_generator.state == want.bit_generator.state
+
     def test_oracle_equals_network_gradient_bitwise(self):
         problem = NetworkProblem.from_seed(5, "c3", seed=2)
         points = np.random.default_rng(6).uniform(0.0, 0.3, (500, 5))
-        got, want = np.random.default_rng(7), np.random.default_rng(7)
-        for x in points:
-            g = problem.oracle(x, got)
-            h = network_gradient(x, problem.sample_k(want), problem.link_matrix)
+        for x, k in zip(points, problem.draw(500, np.random.default_rng(7))):
+            g = problem.oracle(x, k)
+            h = network_gradient(x, k, problem.link_matrix)
             assert g.tobytes() == h.tobytes()
         with pytest.raises(ValueError, match="log"):
-            problem.oracle(np.full(5, -1.0), got)
+            problem.oracle(np.full(5, -1.0), k)
 
     def test_capacity_presets(self):
         c3 = capacity_vector("c3")

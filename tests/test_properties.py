@@ -108,8 +108,9 @@ def test_step_schedule_reads_in_order_and_flags_the_floor(gammas, data):
     # the engine records every steplength it used; the run's clamp flag is
     # read from that record
     traj = run_sa(
-        lambda x, rng: np.zeros(1), None, StepSchedule(np.array(gammas)),
-        np.zeros(1), len(gammas), np.zeros(1), np.random.default_rng(0),
+        lambda x, row: np.zeros(1), lambda m, rng: np.empty((m, 0)), None,
+        StepSchedule(np.array(gammas)), np.zeros(1), len(gammas), np.zeros(1),
+        np.random.default_rng(0),
     )
     assert traj.gammas.tolist() == gammas
     assert bool(np.any(traj.gammas <= GAMMA_FLOOR)) == (GAMMA_FLOOR in gammas)
@@ -236,19 +237,6 @@ def frozen_gaussian_max_affine(mu, sigma, v_h, s_h, knots):
     return value, d_mu, d_sigma
 
 
-class ReplayUniform:
-    """An rng whose uniform() returns one given value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def uniform(self):
-        return self.value
-
-    def random(self):
-        return self.uniform()
-
-
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -295,7 +283,7 @@ def test_draw_index_bitwise_equals_frozen_formula(u, pick, uniform):
     # a uniform that ties a cumulative weight, or any uniform at all
     for value in (float(cumulative[pick % u.size]), uniform):
         if value < 1.0:
-            got = problems._draw_index(u, ReplayUniform(value))
+            got = problems._draw_index(u, value)
             assert type(got) is int
             assert got == frozen_draw_index(u, value)
 
@@ -304,7 +292,7 @@ def test_draw_index_last_index_fallback_is_reached():
     u = np.full(10, 0.1)
     top = 1.0 - 2.0**-53
     assert np.cumsum(problems._index_weights(u))[-1] == top
-    assert problems._draw_index(u, ReplayUniform(top)) == 9
+    assert problems._draw_index(u, top) == 9
 
 
 @SETTINGS

@@ -13,7 +13,18 @@ from adasa.sa_core import (
     sa_step,
     saddle_step,
 )
+from adasa.smoothing import ROW_BLOCK
 from adasa.steplength import StepSchedule, rsa_steps
+
+
+def no_noise(m, rng):
+    """A block sampler for noise-free oracles: m empty rows."""
+    return np.empty((m, 0))
+
+
+def normals(width):
+    """A block sampler of standard normal rows of the given width."""
+    return lambda m, rng: rng.standard_normal((m, width))
 
 
 class FixedPolicy:
@@ -55,7 +66,8 @@ class TestRunSa:
     def test_deterministic_quadratic_contraction(self):
         # f(x) = ||x||^2/2 with no noise and gamma = 0.5: x_k = 0.5^k
         traj = run_sa(
-            oracle=lambda x, rng: x,
+            oracle=lambda x, row: x,
+            draw=no_noise,
             proj=None,
             policy=FixedPolicy(0.5),
             x0=np.array([1.0]),
@@ -70,7 +82,7 @@ class TestRunSa:
 
     def test_single_iteration_budget(self):
         traj = run_sa(
-            lambda x, rng: x, None, FixedPolicy(0.5), np.array([1.0]), 1,
+            lambda x, row: x, no_noise, None, FixedPolicy(0.5), np.array([1.0]), 1,
             np.array([0.0]), np.random.default_rng(0),
         )
         assert traj.gammas.tolist() == [0.5]
@@ -80,7 +92,7 @@ class TestRunSa:
     def test_policy_failure_on_nonpositive_gamma(self):
         with pytest.raises(ValueError, match="steplength"):
             run_sa(
-                lambda x, rng: x, None, FixedPolicy(0.0), np.array([1.0]), 3,
+                lambda x, row: x, no_noise, None, FixedPolicy(0.0), np.array([1.0]), 3,
                 np.array([0.0]), np.random.default_rng(0),
             )
 
@@ -93,7 +105,8 @@ class TestRunSa:
             return out
 
         run_sa(
-            oracle=lambda x, rng: rng.standard_normal(x.size),
+            oracle=lambda x, row: row,
+            draw=normals(6),
             proj=recording_proj,
             policy=FixedPolicy(0.3),
             x0=np.full(6, 1 / 6),
@@ -107,12 +120,12 @@ class TestRunSa:
             assert np.all(x >= 0)
 
     def test_seed_determinism(self):
-        def noisy(x, rng):
-            return x + rng.standard_normal(x.size)
+        def noisy(x, row):
+            return x + row
 
         runs = [
-            run_sa(noisy, None, FixedPolicy(0.1), np.ones(3), 50, np.zeros(3),
-                   np.random.default_rng(123))
+            run_sa(noisy, normals(3), None, FixedPolicy(0.1), np.ones(3), 50,
+                   np.zeros(3), np.random.default_rng(123))
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].squared_errors, runs[1].squared_errors)
@@ -120,8 +133,38 @@ class TestRunSa:
 
     def test_reference_shape_checked(self):
         with pytest.raises(ValueError):
-            run_sa(lambda x, rng: x, None, FixedPolicy(0.1), np.ones(3), 5,
+            run_sa(lambda x, row: x, no_noise, None, FixedPolicy(0.1), np.ones(3), 5,
                    np.zeros(2), np.random.default_rng(0))
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("engine", ["min", "saddle"])
+    def test_rows_reach_their_steps_a_chunk_at_a_time(self, engine):
+        # row k of the draws, in order, goes to step k; the sampler is called
+        # with a full chunk, then with what is left
+        sizes, seen = [], []
+
+        def draw(m, rng):
+            start = sum(sizes)
+            sizes.append(m)
+            return np.arange(start, start + m, dtype=float)[:, None]
+
+        def gradient(x, row):
+            seen.append(float(row[0]))
+            return np.zeros_like(x)
+
+        n_iters = ROW_BLOCK + 3
+        third = np.full(3, 1 / 3)
+        rng = np.random.default_rng(0)
+        if engine == "min":
+            run_sa(gradient, draw, None, FixedPolicy(0.1), third, n_iters, third, rng)
+        else:
+            run_saddle_sa(
+                lambda x, y, row: (gradient(x, row), np.zeros_like(y)), draw,
+                FixedPolicy(0.1), third, third, n_iters, np.zeros(6), rng,
+            )
+        assert sizes == [ROW_BLOCK, 3]
+        assert seen == list(range(n_iters))
 
 
 class TestSaddleStep:
@@ -175,12 +218,12 @@ class TestSaddleStep:
 
 class TestRunSaddle:
     def test_records_and_reference_stacking(self):
-        def oracle(x, y, rng):
+        def oracle(x, y, row):
             return np.zeros_like(x), np.zeros_like(y)
 
         ref = np.concatenate([np.full(3, 1 / 3), np.full(3, 1 / 3)])
         traj = run_saddle_sa(
-            oracle, FixedPolicy(0.1), np.full(3, 1 / 3), np.full(3, 1 / 3), 5,
+            oracle, no_noise, FixedPolicy(0.1), np.full(3, 1 / 3), np.full(3, 1 / 3), 5,
             ref, np.random.default_rng(0),
         )
         assert traj.gammas.tolist() == [0.1] * 5
@@ -190,14 +233,14 @@ class TestRunSaddle:
     def test_oracle_gets_views_that_later_steps_overwrite(self):
         seen, copies = [], []
 
-        def oracle(x, y, rng):
+        def oracle(x, y, row):
             seen.append((x, y))
             copies.append(np.concatenate([x, y]))
             return np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
         x0, y0 = np.array([0.5, 0.5]), np.array([0.5, 0.5])
         traj = run_saddle_sa(
-            oracle, FixedPolicy(0.1), x0, y0, 3, np.zeros(4),
+            oracle, no_noise, FixedPolicy(0.1), x0, y0, 3, np.zeros(4),
             np.random.default_rng(0),
         )
         assert x0.tolist() == [0.5, 0.5] and y0.tolist() == [0.5, 0.5]
@@ -210,7 +253,7 @@ class TestRunSaddle:
     def test_reference_size_checked(self):
         with pytest.raises(ValueError):
             run_saddle_sa(
-                lambda x, y, rng: (x, y), FixedPolicy(0.1),
+                lambda x, y, row: (x, y), no_noise, FixedPolicy(0.1),
                 np.full(3, 1 / 3), np.full(3, 1 / 3), 5, np.zeros(3),
                 np.random.default_rng(0),
             )
@@ -253,8 +296,8 @@ class TestChecksFireAtTheFaultyStep:
     def _run_sa(self, oracle, gammas, proj=None):
         policy = CountingPolicy(gammas)
         with pytest.raises(ValueError) as info:
-            run_sa(oracle, proj, policy, np.full(3, 1 / 3), 10, np.zeros(3),
-                   np.random.default_rng(0))
+            run_sa(oracle, no_noise, proj, policy, np.full(3, 1 / 3), 10,
+                   np.zeros(3), np.random.default_rng(0))
         return policy, info.value
 
     @pytest.mark.parametrize("bad_entry", [math.nan, math.inf, -math.inf])
@@ -327,7 +370,7 @@ class TestChecksFireAtTheFaultyStep:
         policy = CountingPolicy(gammas)
         third = np.full(3, 1 / 3)
         with pytest.raises(ValueError) as info:
-            run_saddle_sa(oracle, policy, third, third, 10, np.zeros(6),
+            run_saddle_sa(oracle, no_noise, policy, third, third, 10, np.zeros(6),
                           np.random.default_rng(0))
         return policy, info.value
 
@@ -376,8 +419,11 @@ class TestBoundDomination:
         x0 = np.full(n, 0.5)  # ||x0 - x*||^2 = 1 <= e0 = 2 nu2/(eta L) = 2
         proj = lambda v: np.clip(v, -1.0, 1.0)
 
-        def oracle(x, rng):
-            return x + sigma * rng.choice([-1.0, 1.0], size=n)
+        def draw(m, rng):
+            return sigma * rng.choice([-1.0, 1.0], size=(m, n))
+
+        def oracle(x, row):
+            return x + row
 
         # the recursion starts at eta*e0/(2 nu2) = 1/L
         gamma0 = 1.0 / lip
@@ -385,7 +431,7 @@ class TestBoundDomination:
         gammas = None
         for r in range(reps):
             policy = StepSchedule(rsa_steps(gamma0, eta / 2.0, n_iters))
-            traj = run_sa(oracle, proj, policy, x0, n_iters, np.zeros(n),
+            traj = run_sa(oracle, draw, proj, policy, x0, n_iters, np.zeros(n),
                           np.random.default_rng(500 + r))
             errors.append(traj.squared_errors)
             gammas = traj.gammas

@@ -5,7 +5,6 @@ import pytest
 
 from adasa.smoothing import (
     ROW_BLOCK,
-    SmoothedOracle,
     ball_volume_coeff,
     double_factorial,
     double_factorial_ratio,
@@ -13,7 +12,7 @@ from adasa.smoothing import (
     row_norms,
     sample_ball,
     sample_ball_batch,
-    smoothed_subgradient,
+    smoothed_oracle,
     smoothing_lipschitz,
 )
 
@@ -33,6 +32,18 @@ def test_ball_batch_equals_the_unblocked_draw_bitwise():
     radii = eps * rng.uniform(size=(m, 1)) ** (1.0 / n)
     want = directions * (radii / norms)
     assert np.array_equal(sample_ball_batch(m, n, eps, np.random.default_rng(8)), want)
+
+
+def test_ball_batch_written_to_a_column_view_bitwise():
+    # the draws and the generator's end state do not depend on where they go
+    m, n, eps = 2 * ROW_BLOCK + 3, 7, 0.3
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    block = np.zeros((m, n + 3))
+    out = sample_ball_batch(m, n, eps, got_rng, out=block[:, 2 : 2 + n])
+    assert np.shares_memory(out, block)
+    assert block[:, 2 : 2 + n].tobytes() == sample_ball_batch(m, n, eps, want_rng).tobytes()
+    assert not block[:, :2].any() and not block[:, 2 + n :].any()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestBallSampling:
@@ -115,8 +126,8 @@ class TestLipschitzConstant:
         assert smoothing_lipschitz(5, 1.0, 0.25) == pytest.approx(2 * base)
 
 
-def _l1_oracle(x, rng):
-    g = np.sign(x)
+def _l1_oracle(point, noise):
+    g = np.sign(point)
     g[g == 0] = 1.0
     return g
 
@@ -124,25 +135,34 @@ def _l1_oracle(x, rng):
 class TestSmoothedSubgradient:
     def test_linear_function_is_exact(self):
         a = np.array([0.3, -1.2, 0.7])
-        oracle = SmoothedOracle(inner=lambda x, rng: a.copy(), n=3, epsilon=0.4)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            out = smoothed_subgradient(oracle, np.zeros(3), rng)
-            assert np.array_equal(out, a)
+        oracle = smoothed_oracle(lambda point, noise: a.copy(), 3)
+        for row in sample_ball_batch(50, 3, 0.4, np.random.default_rng(5)):
+            assert np.array_equal(oracle(np.zeros(3), row), a)
 
     def test_absolute_value_mean_vanishes_at_origin(self):
-        oracle = SmoothedOracle(inner=_l1_oracle, n=1, epsilon=0.5)
-        rng = np.random.default_rng(6)
+        oracle = smoothed_oracle(_l1_oracle, 1)
         m = 20_000
-        draws = np.array([smoothed_subgradient(oracle, np.zeros(1), rng)[0] for _ in range(m)])
+        rows = sample_ball_batch(m, 1, 0.5, np.random.default_rng(6))
+        draws = np.array([oracle(np.zeros(1), row)[0] for row in rows])
         assert abs(draws.mean()) <= 3.0 / math.sqrt(m)
 
     def test_truncation_enforces_norm_bound(self):
         big = np.full(4, 10.0)
-        oracle = SmoothedOracle(inner=lambda x, rng: big.copy(), n=4, epsilon=0.1, subgrad_bound=0.5)
-        rng = np.random.default_rng(7)
-        out = smoothed_subgradient(oracle, np.zeros(4), rng)
+        oracle = smoothed_oracle(lambda point, noise: big, 4, subgrad_bound=0.5)
+        out = oracle(np.zeros(4), sample_ball_batch(1, 4, 0.1, np.random.default_rng(7))[0])
         assert np.linalg.norm(out) == pytest.approx(0.5)
+        assert big.tolist() == [10.0] * 4  # the inner oracle's array is not scaled
+
+    def test_row_is_the_inner_noise_then_the_ball_draw(self):
+        seen = []
+
+        def inner(point, noise):
+            seen.append((point.copy(), noise.copy()))
+            return np.zeros(2)
+
+        smoothed_oracle(inner, 2)(np.array([1.0, 2.0]), np.array([7.0, 8.0, 9.0, 0.5, -0.5]))
+        (point, noise), = seen
+        assert point.tolist() == [1.5, 1.5] and noise.tolist() == [7.0, 8.0, 9.0]
 
     def test_monte_carlo_lipschitz_bound(self):
         # averaged l1 subgradients at two points obey the smoothed-gradient
