@@ -90,9 +90,8 @@ class ExperimentConfig:
             raise ConfigurationError("replications must be >= 1 (>= 2 for CIs)")
         if self.iters < 1:
             raise ConfigurationError("iteration budget must be >= 1")
-        if not 0.0 <= self.eta < math.inf:
-            raise ConfigurationError(f"eta={self.eta} must be finite and >= 0")
-        positive = {"eps": self.epsilon, "alpha": self.alpha, "gamma0": self.gamma0}
+        positive = {"eta": self.eta, "eps": self.epsilon, "alpha": self.alpha,
+                    "gamma0": self.gamma0}
         for name, value in positive.items():
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigurationError(f"{name}={value} must be finite and > 0")
@@ -105,11 +104,15 @@ class ExperimentConfig:
 
 
 def resolve_config(problem: str, scheme: str, **overrides) -> ExperimentConfig:
-    """Config with per-problem baseline defaults; explicit overrides win."""
+    """Config with per-problem baseline defaults; explicit overrides win. Network
+    takes its eta from the instance and is not smoothed, so it refuses both."""
     if problem not in PROBLEM_DEFAULTS:
         raise ConfigurationError(f"unknown problem {problem!r}")
+    given = {k: v for k, v in overrides.items() if v is not None}
+    if problem == "network" and given.keys() & {"eta", "epsilon"}:
+        raise ConfigurationError("network sets its own eta and has no eps")
     merged: dict = dict(PROBLEM_DEFAULTS[problem])
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged.update(given)
     return ExperimentConfig(problem=problem, scheme=scheme, **merged)
 
 

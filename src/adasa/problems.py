@@ -18,7 +18,7 @@ import copy
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -144,7 +144,9 @@ class SaaMinimization:
     """Deterministic sample-average minimization: value/gradient, projection, start.
 
     A problem that supplies `hessian` is solved by projected Newton; one that
-    does not, by accelerated projected gradient from `initial_step`.
+    does not, by accelerated projected gradient from `initial_step`. `lift`,
+    when set, maps the minimizer to the reference point the SA engine runs
+    against (the bimatrix game's x* to its stacked saddle point).
     """
 
     value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -152,18 +154,7 @@ class SaaMinimization:
     x0: np.ndarray
     initial_step: float | None = None
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-@dataclass
-class SaaSaddle:
-    """Deterministic strongly monotone saddle operator with per-block projections."""
-
-    operator: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    proj_x: Callable[[np.ndarray], np.ndarray]
-    proj_y: Callable[[np.ndarray], np.ndarray]
-    x0: np.ndarray
-    y0: np.ndarray
-    step: float
+    lift: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -313,46 +304,6 @@ def _minimize_newton(saa: SaaMinimization, grad_map_tol: float, max_iter: int) -
     return Reference(best_x, best_res, False, it)
 
 
-def _solve_saddle_extragradient(
-    saa: SaaSaddle,
-    grad_map_tol: float,
-    max_iter: int,
-    stall_window: int = 20_000,
-) -> Reference:
-    x = saa.proj_x(np.asarray(saa.x0, dtype=float))
-    y = saa.proj_y(np.asarray(saa.y0, dtype=float))
-    gamma = saa.step
-    best = (x, y, math.inf)
-    last_improvement = 0
-    for it in range(max_iter):
-        fx, fy = saa.operator(x, y)
-        if it % 25 == 0:
-            res = float(
-                np.linalg.norm(
-                    np.concatenate([x - saa.proj_x(x - fx), y - saa.proj_y(y - fy)])
-                )
-            )
-            if res < 0.9 * best[2]:
-                last_improvement = it
-            if res < best[2]:
-                best = (x, y, res)
-            if res <= grad_map_tol:
-                return Reference(np.concatenate([x, y]), res, True, it)
-            if it - last_improvement > stall_window:
-                break
-        xm = saa.proj_x(x - gamma * fx)
-        ym = saa.proj_y(y - gamma * fy)
-        fxm, fym = saa.operator(xm, ym)
-        x = saa.proj_x(x - gamma * fxm)
-        y = saa.proj_y(y - gamma * fym)
-    else:
-        it = max_iter
-    logging.getLogger("adasa").warning(
-        "extragradient stopped at residual %.3e; returning best iterate", best[2]
-    )
-    return Reference(np.concatenate([best[0], best[1]]), best[2], False, it)
-
-
 def saa_reference(
     problem,
     sample_size: int = 100_000,
@@ -363,23 +314,23 @@ def saa_reference(
     """Reference solution from the problem's deterministic objective: a sample
     average of `sample_size` draws where the expectation has no closed form.
 
-    Minimization problems whose SAA carries a Hessian (utility) run projected
-    Newton, max_iter bounding its outer steps; the others (network) run
+    An SAA that carries a Hessian (utility, bimatrix) is solved by projected
+    Newton, max_iter bounding its outer steps; the others (network) by
     accelerated projected gradient with adaptive restart. Both stop once the
     unit-step gradient-mapping norm at a feasible point falls below
-    grad_map_tol. Saddle problems run extragradient against the same
-    natural-residual criterion. A solver that stops short returns its best
-    certified iterate with converged=False and a logged warning.
+    grad_map_tol, and the SAA's lift, if any, then maps the point to the
+    reference. A solver that stops short returns its best certified iterate
+    with converged=False and a logged warning.
     """
     if sample_size < 1_000:
         raise ValueError(f"sample_size must be >= 1000, got {sample_size}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     saa = problem.build_saa(sample_size, rng)
-    if isinstance(saa, SaaSaddle):
-        return _solve_saddle_extragradient(saa, grad_map_tol, max_iter)
-    if saa.hessian is not None:
-        return _minimize_newton(saa, grad_map_tol, max_iter)
-    return _minimize_projected(saa, grad_map_tol, max_iter)
+    solve = _minimize_newton if saa.hessian is not None else _minimize_projected
+    ref = solve(saa, grad_map_tol, max_iter)
+    if saa.lift is not None:
+        ref = replace(ref, point=saa.lift(ref.point))
+    return ref
 
 
 # ---------------------------------------------------------------------------
@@ -823,10 +774,11 @@ class BimatrixProblem:
         return rows[:, : 2 * n]
 
     def lipschitz(self) -> float:
-        """Exact Lipschitz constant ||A||_2 + eta of the regularized operator
-        that build_saa forms, used in place of the generic smoothed-oracle
-        bound. It is not a constant of the run oracle's mean: that oracle draws
-        its indices at the perturbed point, and where that point leaves the
+        """Exact Lipschitz constant ||A||_2 + eta of the regularized saddle
+        operator (A^T y + eta x, -A x + eta y), the mean of the unperturbed
+        row/column draws, used in place of the generic smoothed-oracle bound.
+        It is not a constant of the run oracle's mean: that oracle draws its
+        indices at the perturbed point, and where that point leaves the
         orthant the draw is biased away from the operator.
         """
         return float(np.linalg.norm(self.matrix, 2)) + self.eta
@@ -834,25 +786,36 @@ class BimatrixProblem:
     def diameter_squared(self) -> float:
         return 4.0  # sqrt(2)^2 per simplex, stacked
 
-    def build_saa(self, sample_size: int, rng: np.random.Generator) -> SaaSaddle:
-        """Deterministic regularized saddle operator (A^T y + eta x, -A x + eta y),
-        the mean of the unperturbed row/column draws, so nothing is sampled.
-        The run oracle draws its indices at y + z and x + z with weights
-        (u - min(0, u))/sum, which are not linear in z: where the perturbed
-        point leaves the orthant, its mean differs from this operator."""
+    def build_saa(self, sample_size: int, rng: np.random.Generator) -> SaaMinimization:
+        """The game's saddle point as a minimization in x; the operator is
+        exact, so nothing is sampled. For a fixed x the inner max over the
+        simplex is attained at y(x) = P(Ax/eta), so x* minimizes
+        phi(x) = y(x)^T A x + (eta/2)(||x||^2 - ||y(x)||^2), eta-strongly convex
+        (Nesterov 2005): gradient A^T y(x) + eta x (Danskin), generalized
+        Hessian C^T C/eta + eta I with C the rows of A on the support of y(x),
+        centred. lift stacks (x*, y(x*)); there the y-part of the saddle's
+        natural residual is zero, so phi's residual certifies the pair."""
         a, eta = self.matrix, self.eta
 
-        def operator(x, y):
-            return a.T @ y + eta * x, -(a @ x) + eta * y
+        def best_response(x: np.ndarray) -> np.ndarray:
+            return project_simplex(a @ x / eta)
 
-        lip = self.lipschitz()
-        return SaaSaddle(
-            operator=operator,
-            proj_x=project_simplex,
-            proj_y=project_simplex,
+        def value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+            ax = a @ x
+            y = project_simplex(ax / eta)
+            return float(y @ ax + 0.5 * eta * (x @ x - y @ y)), a.T @ y + eta * x
+
+        def hessian(x: np.ndarray) -> np.ndarray:
+            rows = a[best_response(x) > 0.0]
+            c = rows - rows.mean(axis=0)
+            return c.T @ c / eta + eta * np.eye(self.n)
+
+        return SaaMinimization(
+            value_grad=value_grad,
+            proj=project_simplex,
             x0=np.full(self.n, 1.0 / self.n),
-            y0=np.full(self.n, 1.0 / self.n),
-            step=0.7 / lip,
+            hessian=hessian,
+            lift=lambda x: np.concatenate([x, best_response(x)]),
         )
 
 

@@ -107,11 +107,23 @@ def test_every_name_the_bench_looks_up_exists():
     assert callable(adasa.cli.main)
 
 
-def test_the_tracer_wraps_the_solver_entry_each_reference_problem_has():
-    # _instrument_saa wraps value_grad on a minimization SAA, operator on a
-    # saddle one
-    assert "value_grad" in problems.SaaMinimization.__dataclass_fields__
-    assert "operator" in problems.SaaSaddle.__dataclass_fields__
+@pytest.mark.parametrize("problem", ["utility", "bimatrix", "network"])
+def test_the_tracer_wraps_the_solver_entry_each_reference_problem_has(problem):
+    # _instrument_saa wraps the value_grad of what build_saa returns, and
+    # child.py's solve_reference calls harness.saa_reference on the setup's
+    # problem, which must return a point of the engine's size
+    config = harness.resolve_config(
+        problem, "rsa", n=4, iters=5, replications=1, saa_samples=1_000
+    )
+    setup = harness.build_setup(config)
+    saa = setup.problem.build_saa(config.saa_samples, np.random.default_rng(0))
+    assert isinstance(saa, problems.SaaMinimization)
+    assert callable(saa.value_grad)
+    reference = harness.saa_reference(
+        setup.problem, sample_size=config.saa_samples, seed=np.random.default_rng(0)
+    )
+    start = np.concatenate([setup.x0, setup.y0]) if setup.kind == "saddle" else setup.x0
+    assert reference.point.shape == start.shape
 
 
 @pytest.mark.parametrize("problem", ["utility", "bimatrix", "network"])

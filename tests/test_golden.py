@@ -51,17 +51,17 @@ GOLDEN = {
     ),
     ("bimatrix", "hsa"): (
         "6a942d244c267502417148a15bd569e5a59fd73df54142fe0167fea2e1832112",
-        "ada151abc5ace4daa52cdd6f9c4aac63c2bf485ad123c7aaf34855c0bddda574",
+        "399aa1c1d6fc7b47f64038f24a6db0f3c1ac6ccbb75c6f06090952f509522a85",
         "0.7421550943379812",
     ),
     ("bimatrix", "rsa"): (
         "e6e44decd1a326ca9bb3dd8bef4fd7a55372c652a7af2a72f6106f4dacd30110",
-        "83702fb496e4c3ff3ddcaa2a4384db6c5178be5b7a6224882e359e7879d04315",
+        "2e4c66b173e303f9e25b56558c11fa1badf627fa0ddbed73d5e1c4559c0cfd17",
         "0.9466914602881787",
     ),
     ("bimatrix", "csa"): (
         "46ac58ab87eaa03c4b4e954d211a8819614c0d803ad358dfc70b0fe31044d9fc",
-        "1542fae12c0b5aa4e0bc1c48f012efb1ad60dd48a8b4addd7d63ea1fd5432c24",
+        "784571309c8ea5479f3bfe59ebe027f83d0685967674ab1645033e45a527e3a4",
         "0.7427746304452465",
     ),
     ("network", "hsa"): (

@@ -526,15 +526,30 @@ class TestCli:
             (["--theta", "1.5"], "theta=1.5 outside (0, 1)"),
             (["--replications", "0"], "replications must be >= 1 (>= 2 for CIs)"),
             (["--n", "0"], "dimension n=0 must be >= 1"),
-            (["--eta", "-1"], "eta=-1.0 must be finite and >= 0"),
-            (["--eta", "nan"], "eta=nan must be finite and >= 0"),
+            (["--eta", "-1"], "eta=-1.0 must be finite and > 0"),
+            (["--eta", "nan"], "eta=nan must be finite and > 0"),
+            (["--scheme", "rsa", "--eta", "0"], "eta=0.0 must be finite and > 0"),
+            (
+                ["--problem", "bimatrix", "--scheme", "hsa", "--eta", "0"],
+                "eta=0.0 must be finite and > 0",
+            ),
             (["--eps", "0"], "eps=0.0 must be finite and > 0"),
             (["--eps", "inf"], "eps=inf must be finite and > 0"),
             (["--alpha", "0"], "alpha=0.0 must be finite and > 0"),
             (["--gamma0", "-1"], "gamma0=-1.0 must be finite and > 0"),
+            # network takes its eta from the instance and is not smoothed
+            (
+                ["--problem", "network", "--eta", "3"],
+                "network sets its own eta and has no eps",
+            ),
+            (
+                ["--problem", "network", "--eps", "7"],
+                "network sets its own eta and has no eps",
+            ),
         ],
-        ids=["theta", "replications", "n", "eta", "eta-nan", "eps", "eps-inf",
-             "alpha", "gamma0"],
+        ids=["theta", "replications", "n", "eta", "eta-nan", "eta-zero-utility-rsa",
+             "eta-zero-bimatrix-hsa", "eps", "eps-inf", "alpha", "gamma0",
+             "network-eta", "network-eps"],
     )
     def test_configuration_errors_are_reported_before_setup(
         self, tmp_path, capsys, monkeypatch, flags, message
@@ -549,12 +564,18 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("saa_samples", 999), ("pieces", 0), ("eta", math.inf), ("alpha", math.nan)],
+        [
+            ("saa_samples", 999),
+            ("pieces", 0),
+            ("eta", math.inf),
+            ("eta", 0.0),
+            ("alpha", math.nan),
+        ],
     )
     def test_settings_without_a_flag_are_checked_too(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             resolve_config("utility", "rsa", **{field: value})
-        resolve_config("utility", "rsa", eta=0.0, saa_samples=1_000, pieces=1)
+        resolve_config("utility", "rsa", saa_samples=1_000, pieces=1)
 
     def test_schedule_errors_are_reported_before_the_reference_solve(
         self, tmp_path, capsys, monkeypatch

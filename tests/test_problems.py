@@ -17,7 +17,6 @@ from adasa.problems import (
     _draw_indices,
     _gaussian_max_affine,
     _index_weights,
-    _solve_saddle_extragradient,
     capacity_vector,
     network_gradient,
     network_value,
@@ -634,8 +633,9 @@ class TestBimatrixProblem:
 
     def test_oracle_means_match_reference_operator(self):
         # at a negligible smoothing radius the engine's oracle and the pilot's
-        # block draws are unbiased for build_saa's operator, whose y-part is
-        # the descent direction (the oracle's is the ascent one)
+        # block draws are unbiased for the regularized operator
+        # (A^T y + eta x, -A x + eta y), built here from exact_gradient; the
+        # oracle returns its y-part in the ascent convention, A x - eta y
         rng = np.random.default_rng(12)
         n = 5
         problem = BimatrixProblem(
@@ -643,8 +643,8 @@ class TestBimatrixProblem:
         )
         x = rng.dirichlet(np.ones(n))
         y = rng.dirichlet(np.ones(n))
-        op_x, op_y = problem.build_saa(1, rng).operator(x, y)
-        exact = np.concatenate([op_x, -op_y])
+        gx, gy = problem.exact_gradient(x, y)
+        exact = np.concatenate([gx + problem.eta * x, -gy - problem.eta * y])
         oracle = problem.run_oracle()
         m = 50_000
         engine = np.array(
@@ -999,28 +999,6 @@ class TestSaaReference:
         assert residual == pytest.approx(ref.grad_map_norm, rel=1e-9)
         assert residual > 1e-8
 
-    def test_saddle_stall_reports_iterations_run(self, caplog):
-        # at tolerance 0 the residual stalls at rounding level long before
-        # the budget; each step evaluates the operator twice, and the step
-        # that detects the stall once more
-        problem = BimatrixProblem(n=5, eta=0.5, epsilon=0.2)
-        saa = problem.build_saa(1000, np.random.default_rng(0))
-        calls = 0
-        operator = saa.operator
-
-        def counted(x, y):
-            nonlocal calls
-            calls += 1
-            return operator(x, y)
-
-        saa.operator = counted
-        with caplog.at_level(logging.WARNING, logger="adasa"):
-            ref = _solve_saddle_extragradient(saa, 0.0, 200_000, stall_window=200)
-        assert "returning best iterate" in caplog.text
-        assert not ref.converged
-        assert ref.iterations < 200_000
-        assert calls == 2 * ref.iterations + 1
-
     def test_bimatrix_unregularized_limit(self):
         # as eta -> 0 the saddle point approaches (e_1, e_n)
         problem = BimatrixProblem(n=10, eta=1e-4, epsilon=0.2)
@@ -1039,3 +1017,79 @@ class TestSaaReference:
     def test_sample_size_floor(self):
         with pytest.raises(ValueError):
             saa_reference(_QuadraticToy([0.0]), sample_size=10, seed=0)
+
+
+def _saddle_residual(problem, point):
+    """Natural residual ||z - P(z - F(z))|| of the regularized game at the
+    stacked z = (x, y), F = (A^T y + eta x, -A x + eta y) from exact_gradient."""
+    n, eta = problem.n, problem.eta
+    x, y = point[:n], point[n:]
+    gx, gy = problem.exact_gradient(x, y)
+    fx, fy = gx + eta * x, gy + eta * y
+    return float(
+        np.linalg.norm(
+            np.concatenate([x - project_simplex(x - fx), y - project_simplex(y - fy)])
+        )
+    )
+
+
+def _frozen_extragradient(problem, tol=1e-10, max_iter=200_000):
+    """Extragradient on the saddle operator at step 0.7/L from the two
+    barycentres, the solver the bimatrix reference used before the game was
+    reduced to a minimization in x."""
+    a, eta = problem.matrix, problem.eta
+    gamma = 0.7 / problem.lipschitz()
+    x = y = np.full(problem.n, 1.0 / problem.n)
+
+    def operator(x, y):
+        return a.T @ y + eta * x, -(a @ x) + eta * y
+
+    for _ in range(max_iter):
+        if _saddle_residual(problem, np.concatenate([x, y])) <= tol:
+            return np.concatenate([x, y])
+        fx, fy = operator(x, y)
+        xm, ym = project_simplex(x - gamma * fx), project_simplex(y - gamma * fy)
+        fx, fy = operator(xm, ym)
+        x, y = project_simplex(x - gamma * fx), project_simplex(y - gamma * fy)
+    raise AssertionError("extragradient did not converge")
+
+
+class TestBimatrixReference:
+    """The game's reference: x* minimizes phi(x) = max_y L(x, y) by projected
+    Newton, lifted to the stacked (x*, P(Ax*/eta))."""
+
+    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("eta", [1e-4, 0.01, 0.05])
+    def test_default_game_converges(self, n, eta):
+        problem = BimatrixProblem(n=n, eta=eta, epsilon=0.2)
+        ref = saa_reference(problem, sample_size=1000, seed=0)
+        assert ref.converged
+        assert ref.grad_map_norm <= 1e-8
+        assert _saddle_residual(problem, ref.point) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("n", [5, 20])
+    @pytest.mark.parametrize("eta", [0.2, 0.5])
+    def test_random_game_matches_extragradient_and_certifies_the_pair(
+        self, kind, n, eta
+    ):
+        rng = np.random.default_rng(40 + n)
+        matrix = rng.uniform(size=(n, n)) if kind == "uniform" else rng.normal(size=(n, n))
+        problem = BimatrixProblem(n=n, eta=eta, epsilon=0.2, matrix=matrix)
+        ref = saa_reference(problem, sample_size=1000, seed=0)
+        assert ref.converged
+        assert ref.point.shape == (2 * n,)
+        assert np.linalg.norm(ref.point - _frozen_extragradient(problem)) <= 1e-6
+        # at (x, y(x)) the y-part of the natural residual is zero, so phi's
+        # gradient-mapping residual is the residual of the pair
+        residual = _saddle_residual(problem, ref.point)
+        assert abs(residual - ref.grad_map_norm) <= 1e-12
+        assert residual <= 1e-8
+
+    def test_bench_instance_is_the_vertex_pair(self):
+        problem = BimatrixProblem(n=20, eta=0.01, epsilon=0.2)
+        ref = saa_reference(problem, sample_size=100_000, seed=0)
+        target = np.zeros(40)
+        target[0] = target[-1] = 1.0
+        assert ref.point.tobytes() == target.tobytes()
+        assert ref.converged and ref.iterations == 1
