@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 # sample_ball is imported only so that a tracer can patch it here; no
 # problem draws one ball at a time
@@ -41,12 +40,25 @@ _VALUE_ROUNDING = 1e-14
 @functools.cache
 def _nnls():
     """scipy.optimize.nnls, imported on the first call. Only the capacity
-    projection needs scipy.optimize, which costs ~0.17 s and ~23 MB to load,
-    so utility and bimatrix runs never load it; NetworkProblem makes the first
-    call while it is built, so no projection pays for the import."""
+    projection needs scipy.optimize, which costs ~0.4 s and ~41 MB to load
+    with what it pulls in (scipy.special among it), so utility and bimatrix
+    runs never load it; NetworkProblem makes the first call while it is
+    built, so no projection pays for the import."""
     from scipy.optimize import nnls
 
     return nnls
+
+
+@functools.cache
+def _ndtr():
+    """scipy.special.ndtr, imported on the first call. Only the utility
+    objective needs scipy.special, which costs ~0.25 s and ~17 MB to load
+    (scipy's array-API layer pulls in numpy.f2py, numpy.testing and numpy.ma),
+    so bimatrix runs load no scipy module; UtilityProblem makes the first call
+    while it is built, so no reference solve pays for the import."""
+    from scipy.special import ndtr
+
+    return ndtr
 
 
 @functools.cache
@@ -391,6 +403,7 @@ def _gaussian_max_affine(
     if r == 1:
         value = v_h[0] + s_h[0] * mu
         return value, np.full(m, s_h[0]), np.zeros(m)
+    ndtr = _ndtr()
     d_cdf, d_pdf = np.empty((m, r)), np.empty((m, r))
     value, sigma_term = np.zeros(m), np.zeros(m)
     cdf_prev = pdf_prev = 0.0
@@ -432,6 +445,7 @@ class UtilityProblem:
             raise ValueError("intercepts and slopes must align")
         self.coeff_base = np.arange(1, self.n + 1) / self.n
         self._envelope = _upper_envelope(self.intercepts, self.slopes)
+        _ndtr()  # scipy.special loads with the problem, not in a reference solve
 
     @classmethod
     def from_seed(

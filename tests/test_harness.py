@@ -69,6 +69,22 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             ConfidenceInterval(log_center=0.5, lower=1.0, upper=0.0)
 
+    @pytest.mark.parametrize("level", [-0.2, 0.0, 1.0, 1.5, math.nan])
+    def test_level_outside_the_unit_interval_is_rejected(self, level, tmp_path):
+        errors = np.array([[1.0, 0.5], [2.0, 0.25], [3.0, 4.0]])
+        result = _toy_result(errors, [0.1, 0.1])
+        with pytest.raises(ValueError, match="outside"):
+            log_t_interval(errors, level)
+        with pytest.raises(ValueError, match="outside"):
+            log_t_interval(errors[:1], level)
+        with pytest.raises(ValueError, match="outside"):
+            result.terminal_ci(level)
+        with pytest.raises(ValueError, match="outside"):
+            emit_csv(result.trajectories, result.bound, str(tmp_path / "x.csv"), level)
+        config = resolve_config("bimatrix", "rsa", n=4, iters=1, replications=2)
+        with pytest.raises(ValueError, match="outside"):
+            run_replications(config, ci_level=level)
+
 
 def _toy_trajectory(errors, gammas=None):
     gammas = gammas if gammas is not None else [0.1] * len(errors)

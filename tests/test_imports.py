@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
+import pytest
 import scipy.stats
 
 import adasa
-from adasa.harness import log_t_interval
+from adasa.harness import _t_quantile, log_t_interval
 
 PACKAGE = Path(adasa.__file__).resolve().parent
 
@@ -106,36 +108,100 @@ def test_cycle_finder_sees_a_cycle_and_skips_type_checking_blocks():
 _SCIPY_LOADS = """
 import sys
 import adasa.cli
-from adasa import harness
+from adasa import harness, problems
 
-print("scipy.stats" in sys.modules, "scipy.optimize" in sys.modules)
-for problem in ("utility", "bimatrix", "network"):
-    harness.build_setup(harness.resolve_config(problem, "rsa"))
-    print(problem, "scipy.optimize" in sys.modules)
+
+def loaded(stage):
+    mods = {m for m in sys.modules if m.split(".")[0] == "scipy"}
+    print(stage, bool(mods), "scipy.special" in mods, "scipy.optimize" in mods)
+
+
+loaded("import")
+config = harness.resolve_config("bimatrix", "hsa", iters=50, replications=3, out=sys.argv[1])
+result = harness.run_replications(config)
+harness.emit_csv(result.trajectories, result.bound, config.out)
+harness.emit_metadata(result, config.out)
+loaded("bimatrix")
+print("quantiles", harness._t_quantile.cache_info().misses)
+setup = harness.build_setup(harness.resolve_config("utility", "rsa"))
+loaded("utility")
+problems.saa_reference(setup.problem, sample_size=2_000)
+print("ndtr imports", problems._ndtr.cache_info().misses)
+harness.build_setup(harness.resolve_config("network", "rsa"))
+loaded("network")
+print("stats", "scipy.stats" in sys.modules)
 """
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """The CLI never loads scipy.stats, and only the network problem, while
-    its setup is built, loads scipy.optimize."""
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    """Each run loads only the scipy modules its problem uses: the CLI import
+    and a whole bimatrix run load none (the run's three interval requests
+    compute one t quantile); the utility problem loads scipy.special while it
+    is built, so its reference solve imports nothing; only the network problem
+    loads scipy.optimize. No path loads scipy.stats."""
     src = str(PACKAGE.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     lines = subprocess.run(
-        [sys.executable, "-c", _SCIPY_LOADS],
+        [sys.executable, "-c", _SCIPY_LOADS, str(tmp_path / "run.csv")],
         env=env,
         check=True,
         capture_output=True,
         text=True,
     ).stdout.splitlines()
-    assert lines == ["False False", "utility False", "bimatrix False", "network True"]
+    assert lines == [
+        "import False False False",
+        "bimatrix False False False",
+        "quantiles 1",
+        "utility True True False",
+        "ndtr imports 1",
+        "network True True True",
+        "stats False",
+    ]
 
 
-def test_log_t_interval_matches_scipy_stats_quantile_bitwise():
+def _exact_t_cdf_brackets(df, p, q):
+    """Whether the exact p-quantile of t(df) lies strictly between the float
+    q's rounding midpoints, i.e. q is that quantile correctly rounded:
+    P(|T| <= t) = I_{t^2/(df+t^2)}(1/2, df/2), at 200 bits."""
+    with mpmath.workprec(200):
+        two_sided = lambda t: mpmath.betainc(  # noqa: E731
+            mpmath.mpf(1) / 2, mpmath.mpf(df) / 2, 0, t * t / (df + t * t),
+            regularized=True,
+        )
+        q = mpmath.mpf(q)
+        below = (q + mpmath.mpf(math.nextafter(float(q), -math.inf))) / 2
+        above = (q + mpmath.mpf(math.nextafter(float(q), math.inf))) / 2
+        return two_sided(below) < 2 * mpmath.mpf(p) - 1 < two_sided(above)
+
+
+def test_t_quantile_is_correctly_rounded():
+    for df in [*range(1, 201), 499, 999, 4999]:
+        for p in (0.95, 0.975, 0.995):
+            q = _t_quantile(df, p)
+            assert _exact_t_cdf_brackets(df, p, q), (df, p, q)
+
+
+def test_t_quantile_matches_scipy_at_the_golden_runs_df():
+    # the golden runs have 3 replications, so their intervals use df = 2
+    assert _t_quantile(2, 0.5 * (1.0 + 0.90)) == scipy.stats.t.ppf(0.95, 2)
+
+
+@pytest.mark.parametrize(
+    "df,p,error",
+    [(0, 0.95, ValueError), (-3, 0.95, ValueError), (2.0, 0.95, TypeError),
+     (2, 0.3, ValueError), (2, 1.0, ValueError), (2, math.nan, ValueError)],
+)
+def test_t_quantile_rejects_a_df_or_p_outside_its_domain(df, p, error):
+    with pytest.raises(error):
+        _t_quantile(df, p)
+
+
+def test_log_t_interval_is_the_centre_plus_minus_the_quantile_half_width():
     rng = np.random.default_rng(5)
     for df in range(1, 201):
         errors = rng.lognormal(0.0, 1.0, size=(df + 1, 3))
         center, lo, hi = log_t_interval(errors, level=0.90)
         logs = np.log(errors)
-        half = scipy.stats.t.ppf(0.95, df) * logs.std(axis=0, ddof=1) / math.sqrt(df + 1)
+        half = _t_quantile(df, 0.95) * logs.std(axis=0, ddof=1) / math.sqrt(df + 1)
         assert np.array_equal(lo, center - half) and np.array_equal(hi, center + half)
