@@ -203,6 +203,11 @@ def _t_quantile(df: int, p: float) -> float:
     raise RuntimeError(f"t quantile (df={df}, p={p}) did not converge")
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level={level} outside (0, 1)")
+
+
 def log_t_interval(
     errors: np.ndarray, level: float = 0.90
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,8 +217,7 @@ def log_t_interval(
     Zero errors are floored at LOG_FLOOR before the log; with one row the
     bounds are NaN. A level outside (0, 1), or NaN, raises ValueError.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level={level} outside (0, 1)")
+    _check_level(level)
     logs = np.log(np.maximum(errors, LOG_FLOOR))
     reps = logs.shape[0]
     center = logs.mean(axis=0)
@@ -463,8 +467,10 @@ def run_replications(
     error curve is measured against it; an injected one is used as given, with
     a warning on the `adasa` logger when it did not converge. Replication 0's
     schedule is built before the reference solve, so a configuration whose
-    schedule cannot be built fails before that work.
+    schedule cannot be built fails before that work; a ci_level outside
+    (0, 1), or NaN, fails before the setup is built.
     """
+    _check_level(ci_level)
     setup = setup if setup is not None else build_setup(config)
     first_policy = make_policy(config, setup.constants)
     if reference is None:

@@ -153,19 +153,16 @@ def project_capacity(
 
 @dataclass
 class SaaMinimization:
-    """Deterministic sample-average minimization: value/gradient, projection, start.
-
-    A problem that supplies `hessian` is solved by projected Newton; one that
-    does not, by accelerated projected gradient from `initial_step`. `lift`,
-    when set, maps the minimizer to the reference point the SA engine runs
-    against (the bimatrix game's x* to its stacked saddle point).
+    """Deterministic sample-average minimization, solved by projected Newton:
+    value/gradient, Hessian, projection and start. `lift`, when set, maps the
+    minimizer to the reference point the SA engine runs against (the bimatrix
+    game's x* to its stacked saddle point).
     """
 
     value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    hessian: Callable[[np.ndarray], np.ndarray]
     proj: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
-    initial_step: float | None = None
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
     lift: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -180,35 +177,39 @@ class Reference:
 
 
 def _minimize_projected(
-    saa: SaaMinimization,
+    grad: Callable[[np.ndarray], np.ndarray],
+    proj: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    step: float,
     grad_map_tol: float,
     max_iter: int,
     stall_window: int = 5_000,
 ) -> Reference:
-    """Accelerated projected gradient (FISTA) with gradient-based adaptive restart.
+    """Newton's inner solver: accelerated projected gradient (FISTA) with
+    gradient-based adaptive restart on the quadratic model whose gradient is
+    `grad`, from proj(x0).
 
-    Steps x_new = proj(y - step * grad f(y)) from the momentum point y and
+    Steps x_new = proj(y - step * grad(y)) from the momentum point y and
     restarts momentum when (y - x_new) . (x_new - x) > 0 (Beck and Teboulle
-    2009; O'Donoghue and Candes 2015). A line search breaks down once value
-    differences reach rounding scale, long before the gradient mapping does, so
-    the step is fixed; a sustained value increase halves it and restarts momentum.
-    y may be infeasible, so its residual only triggers certification at x_new:
-    grad_map_norm is always ||p - proj(p - grad f(p))|| at the feasible point p
-    returned. On stall or budget exhaustion the best certified point is
-    returned with converged=False and a logged warning.
+    2009; O'Donoghue and Candes 2015). The step is fixed: Newton passes
+    1/lambda_max(H), the model gradient's exact Lipschitz constant, at which
+    FISTA converges without a line search. y may be infeasible, so its
+    residual only triggers certification at x_new: grad_map_norm is always
+    ||p - proj(p - grad(p))|| at the feasible point p returned. On stall or
+    budget exhaustion the best certified point is returned with
+    converged=False and a logged warning.
     """
-    proj, value_grad = saa.proj, saa.value_grad
 
     def residual(p: np.ndarray, g: np.ndarray) -> float:
         return float(np.linalg.norm(p - proj(p - g)))
 
-    x = y = proj(np.asarray(saa.x0, dtype=float))
-    t, step = 1.0, saa.initial_step
+    x = y = proj(x0)
+    t = 1.0
     best_x, best_res = x, math.inf
     best_trial, last_improvement = math.inf, 0
-    f_prev, rising, it = math.inf, 0, 0
+    it = 0
     while it < max_iter:
-        f, g = value_grad(y)
+        g = grad(y)
         trial = residual(y, g)
         if y is x and trial < best_res:  # no momentum, so y is feasible
             best_x, best_res = x, trial
@@ -218,26 +219,21 @@ def _minimize_projected(
             best_trial, last_improvement = trial, it
         if it - last_improvement > stall_window:
             break
-        rising = rising + 1 if f > f_prev + 1e-12 * max(1.0, abs(f_prev)) else 0
-        f_prev = f
-        restart = rising >= 5
-        if restart:
-            step, rising = 0.5 * step, 0
         x_new = proj(y - step * g)
         it += 1
         if trial <= grad_map_tol:
-            certified = residual(x_new, value_grad(x_new)[1])
+            certified = residual(x_new, grad(x_new))
             if certified < best_res:
                 best_x, best_res = x_new, certified
             if certified <= grad_map_tol:
                 return Reference(x_new, certified, True, it)
-        if restart or float((y - x_new) @ (x_new - x)) > 0.0:
+        if float((y - x_new) @ (x_new - x)) > 0.0:
             t = 1.0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = x_new + beta * (x_new - x) if beta > 0.0 else x_new
         x, t = x_new, t_next
-    certified = residual(x, value_grad(x)[1])
+    certified = residual(x, grad(x))
     if certified < best_res:
         best_x, best_res = x, certified
     logging.getLogger("adasa").warning(
@@ -252,13 +248,13 @@ def _minimize_newton(saa: SaaMinimization, grad_map_tol: float, max_iter: int) -
     """Projected Newton with Armijo backtracking (Lee, Sun and Saunders 2014).
 
     Each outer step minimizes the quadratic model g.d + d.H d/2 over the
-    feasible set with _minimize_projected at step 1/lambda_max(H), the model
-    gradient's exact Lipschitz constant, to a tolerance that tightens with the
-    residual. It then halves the step from 1 until F decreases by 1e-4 of the
-    model slope (Armijo). Once F changes by no more than its rounding, F cannot
-    rank two points and the certificate does: a step is then taken only if it
-    lowers the residual. Every iterate is certified as in _minimize_projected,
-    so grad_map_norm is ||p - proj(p - grad f(p))|| at the feasible point p
+    feasible set with _minimize_projected, given the model gradient
+    g + H(p - x) and the step 1/lambda_max(H), to a tolerance that tightens
+    with the residual. It then halves the step from 1 until F decreases by
+    1e-4 of the model slope (Armijo). Once F changes by no more than its
+    rounding, F cannot rank two points and the certificate does: a step is
+    then taken only if it lowers the residual. Every iterate is certified, so
+    grad_map_norm is ||p - proj(p - grad f(p))|| at the feasible point p
     returned. max_iter bounds the outer steps and each inner solve. When no
     step decreases F, or the outer steps run out, the best certified point is
     returned with converged=False and a logged warning.
@@ -276,16 +272,12 @@ def _minimize_newton(saa: SaaMinimization, grad_map_tol: float, max_iter: int) -
     while best_res > grad_map_tol and it < max_iter:
         h = hessian(x)
 
-        def model(p: np.ndarray, x=x, g=g, h=h) -> tuple[float, np.ndarray]:
-            d = p - x
-            hd = h @ d
-            return float(g @ d + 0.5 * (d @ hd)), g + hd
+        def model_grad(p: np.ndarray, x=x, g=g, h=h) -> np.ndarray:
+            return g + h @ (p - x)
 
-        inner = _minimize_projected(
-            SaaMinimization(model, proj, x, 1.0 / float(np.linalg.eigvalsh(h)[-1])),
-            max(0.1 * grad_map_tol, min(0.1, res) * res),
-            max_iter,
-        )
+        step = 1.0 / float(np.linalg.eigvalsh(h)[-1])
+        tol = max(0.1 * grad_map_tol, min(0.1, res) * res)
+        inner = _minimize_projected(model_grad, proj, x, step, tol, max_iter)
         d = inner.point - x
         slope = float(g @ d)
         t = 1.0
@@ -326,20 +318,18 @@ def saa_reference(
     """Reference solution from the problem's deterministic objective: a sample
     average of `sample_size` draws where the expectation has no closed form.
 
-    An SAA that carries a Hessian (utility, bimatrix) is solved by projected
-    Newton, max_iter bounding its outer steps; the others (network) by
-    accelerated projected gradient with adaptive restart. Both stop once the
+    Every problem's SAA carries a Hessian and is solved by projected Newton,
+    max_iter bounding its outer steps and each inner solve. It stops once the
     unit-step gradient-mapping norm at a feasible point falls below
     grad_map_tol, and the SAA's lift, if any, then maps the point to the
-    reference. A solver that stops short returns its best certified iterate
+    reference. A solve that stops short returns its best certified iterate
     with converged=False and a logged warning.
     """
     if sample_size < 1_000:
         raise ValueError(f"sample_size must be >= 1000, got {sample_size}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     saa = problem.build_saa(sample_size, rng)
-    solve = _minimize_newton if saa.hessian is not None else _minimize_projected
-    ref = solve(saa, grad_map_tol, max_iter)
+    ref = _minimize_newton(saa, grad_map_tol, max_iter)
     if saa.lift is not None:
         ref = replace(ref, point=saa.lift(ref.point))
     return ref
@@ -979,7 +969,7 @@ class NetworkProblem:
     def build_saa(self, sample_size: int, rng: np.random.Generator) -> SaaMinimization:
         """The sampled cost is linear in k, so its expectation is the cost at
         E[k] = (k_lo + k_hi)/2, exactly: nothing is sampled, and sample_size
-        and rng are unused."""
+        and rng are unused. Its Hessian is diag(k/(1+x)^2) + 2 A^T A."""
         k_bar = np.full(self.n, 0.5 * (self.k_range[0] + self.k_range[1]))
         a = self.link_matrix
         gram = self._gram
@@ -989,10 +979,12 @@ class NetworkProblem:
             value = float(-(k_bar * np.log1p(x)).sum() + ax @ ax)
             return value, -k_bar / (1.0 + x) + 2.0 * gram @ x
 
-        consts = self.constants()
+        def hessian(x: np.ndarray) -> np.ndarray:
+            return np.diag(k_bar / (1.0 + x) ** 2) + 2.0 * gram
+
         return SaaMinimization(
             value_grad=value_grad,
             proj=self.projection(),
             x0=np.zeros(self.n),
-            initial_step=1.0 / consts["lip"],
+            hessian=hessian,
         )

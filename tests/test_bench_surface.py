@@ -119,6 +119,7 @@ def test_the_tracer_wraps_the_solver_entry_each_reference_problem_has(problem):
     saa = setup.problem.build_saa(config.saa_samples, np.random.default_rng(0))
     assert isinstance(saa, problems.SaaMinimization)
     assert callable(saa.value_grad)
+    assert callable(saa.hessian)
     reference = harness.saa_reference(
         setup.problem, sample_size=config.saa_samples, seed=np.random.default_rng(0)
     )

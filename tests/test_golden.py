@@ -65,19 +65,19 @@ GOLDEN = {
         "0.7427746304452465",
     ),
     ("network", "hsa"): (
-        "dbe43f1f526775fd93e247be582507ddb0ef3a68271be32c5837d47f886b3b91",
-        "621d575228549b2e513a6248f7fe31b5641cad30bec4a798d4487d22e847ea8f",
-        "0.0001576246151788267",
+        "ffbbad8a92e3ac4586f944ffc184008aaf2e706e9161956c086489dcda4862c1",
+        "4d1790f4d1329c8675fe8ee619de7843a91ea88b636355a58d3411b44808e561",
+        "0.00015762467531061776",
     ),
     ("network", "rsa"): (
-        "f3c95fbc97a1ee0cefacf6375841616494d13b28a6812aa6f7634fa6f2a92913",
-        "cba425801a18f7739a4854445e3210b4bfb0c1ee5893bd32c35723dfd4359f87",
-        "0.000211517240946464",
+        "d1acd2babe5c4857e5702714819db2e1fe886992a960fd9a81dfb65aef3ccdec",
+        "3b3c0f3bcd015b8e737424c49a18cfaa74d88b55ab60933daed46e81ca2fe754",
+        "0.00021151730846807",
     ),
     ("network", "csa"): (
-        "c26fde1726ba34cd3c715c268278d51120cfe980ef69c944e389fd9baa3cb48e",
-        "ed369cd6c48c67187b13f22a4cbae3c53e9d57ef33c3b8a5628747a687cf2e64",
-        "0.00011422771443353999",
+        "a06eb9754670ae606e6c211bf18dbd8dde83e4cca1c7a24d72153ca4882588f5",
+        "2fdb59eb2b05e4c659b07932f22a6a0090bf75c91904bb36e03066079248549a",
+        "0.00011422777103654272",
     ),
 }
 

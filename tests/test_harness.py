@@ -70,7 +70,9 @@ class TestConfidenceInterval:
             ConfidenceInterval(log_center=0.5, lower=1.0, upper=0.0)
 
     @pytest.mark.parametrize("level", [-0.2, 0.0, 1.0, 1.5, math.nan])
-    def test_level_outside_the_unit_interval_is_rejected(self, level, tmp_path):
+    def test_level_outside_the_unit_interval_is_rejected(
+        self, level, tmp_path, monkeypatch
+    ):
         errors = np.array([[1.0, 0.5], [2.0, 0.25], [3.0, 4.0]])
         result = _toy_result(errors, [0.1, 0.1])
         with pytest.raises(ValueError, match="outside"):
@@ -82,6 +84,12 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError, match="outside"):
             emit_csv(result.trajectories, result.bound, str(tmp_path / "x.csv"), level)
         config = resolve_config("bimatrix", "rsa", n=4, iters=1, replications=2)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the level is checked before any setup or solve")
+
+        monkeypatch.setattr(harness, "build_setup", no_work)
+        monkeypatch.setattr(harness, "saa_reference", no_work)
         with pytest.raises(ValueError, match="outside"):
             run_replications(config, ci_level=level)
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from adasa.harness import _TAG_PILOT, _TAG_PROBLEM
+from adasa.problems import UtilityProblem
 from adasa.smoothing import (
     ROW_BLOCK,
     ball_volume_coeff,
@@ -124,6 +126,25 @@ class TestLipschitzConstant:
         base = smoothing_lipschitz(5, 1.0, 0.5)
         assert smoothing_lipschitz(5, 3.0, 0.5) == pytest.approx(3 * base)
         assert smoothing_lipschitz(5, 1.0, 0.25) == pytest.approx(2 * base)
+
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_bounds_the_curvature_of_the_utility_saa(self, n):
+        # the paper's smoothing inequality on a real instance: the SAA of the
+        # ball-smoothed utility is eta-regularized, so lambda_max(H) - eta is
+        # the local Lipschitz constant of the smoothed gradient, which
+        # L_eps(n, C, eps) bounds with C the pilot subgradient bound
+        problem = UtilityProblem.from_seed(
+            n, eta=0.5, epsilon=0.5, seed=np.random.default_rng([0, _TAG_PROBLEM])
+        )
+        bound = problem.estimate_subgradient_bound(np.random.default_rng([0, _TAG_PILOT]))
+        lip = smoothing_lipschitz(n, bound, problem.epsilon)
+        saa = problem.build_saa(20_000, np.random.default_rng(0))
+        rng = np.random.default_rng(n)
+        points = [np.full(n, 1.0 / n), np.eye(n)[0], np.eye(n)[-1]] + [
+            rng.dirichlet(np.full(n, 0.3)) for _ in range(4)
+        ]
+        for x in points:
+            assert np.linalg.eigvalsh(saa.hessian(x))[-1] - problem.eta <= lip
 
 
 def _l1_oracle(point, noise):
