@@ -104,9 +104,9 @@ def project_capacity(
     - NNLS: while a link is still over capacity, x = v + z for the shortest z
       with Gz >= h, G = [I; -A], h = [-v; Av - C]: least-distance programming,
       solved exactly by one NNLS call (Lawson & Hanson 1974, ch. 23). With w
-      the NNLS solution of min ||Ew - f||, w >= 0, E = [G^T; h^T],
-      f = e_{n+1}, and r = Ew - f, z = -r[:n]/r[n]; r = 0 means the
-      constraints admit no point.
+      the NNLS solution of min ||Ew - f||, w >= 0, E = [G^T; h^T/s] (s the
+      power of two that brings h to at most 1), f = e_{n+1}, r = Ew - f:
+      z = -s r[:n]/r[n], and r = 0 means the constraints admit no point.
 
     A v with a NaN or infinite entry is rejected at every stage, before NNLS,
     from the reductions the stages make anyway: a NaN or -inf shows in v.min(),
@@ -134,7 +134,10 @@ def project_capacity(
     if not math.isfinite(worst):
         raise ValueError("cannot project a vector with non-finite entries")
     n = v.size
-    e = np.vstack([np.hstack([np.eye(n), -a_rows.T]), np.concatenate([-v, excess])])
+    # h over a power of two, exactly: unscaled, max(Ax - C) grows like |v|^3
+    h = np.concatenate([-v, excess])
+    scale = 2.0 ** max(0, math.frexp(np.abs(h).max())[1])
+    e = np.vstack([np.hstack([np.eye(n), -a_rows.T]), h / scale])
     f = np.zeros(n + 1)
     f[n] = 1.0
     w, _ = _nnls()(e, f)
@@ -144,7 +147,7 @@ def project_capacity(
     if -r[n] <= w.size * np.finfo(float).eps * (np.abs(e[n]) @ w + 1.0):
         raise ValueError("the capacity constraints admit no point")
     # clip the rounding left on the orthant so the point is exactly nonnegative
-    return np.maximum(v - r[:n] / r[n], 0.0)
+    return np.maximum(v - scale * r[:n] / r[n], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +196,14 @@ def _minimize_projected(
     restarts momentum when (y - x_new) . (x_new - x) > 0 (Beck and Teboulle
     2009; O'Donoghue and Candes 2015). The step is fixed: Newton passes
     1/lambda_max(H), the model gradient's exact Lipschitz constant, at which
-    FISTA converges without a line search. y may be infeasible, so its
-    residual only triggers certification at x_new: grad_map_norm is always
-    ||p - proj(p - grad(p))|| at the feasible point p returned. On stall or
-    budget exhaustion the best certified point is returned with
-    converged=False and a logged warning.
+    FISTA converges without a line search. Each iteration projects once: at
+    a feasible y, max(1, 1/step) ||y - x_new|| bounds ||y - proj(y - grad(y))||
+    (the gradient mapping is monotone in the step; Beck 2017, section 10.3).
+    The bound drives the stall test; once it meets the tolerance, an exact
+    residual certifies y if y is x (no momentum, so feasible), else x_new:
+    grad_map_norm is always ||p - proj(p - grad(p))|| at the feasible point p
+    returned. On stall or budget exhaustion the best certified point is
+    returned with converged=False and a logged warning.
     """
 
     def residual(p: np.ndarray, g: np.ndarray) -> float:
@@ -206,32 +212,31 @@ def _minimize_projected(
     x = y = proj(x0)
     t = 1.0
     best_x, best_res = x, math.inf
-    best_trial, last_improvement = math.inf, 0
+    best_bound, last_improvement = math.inf, 0
     it = 0
     while it < max_iter:
         g = grad(y)
-        trial = residual(y, g)
-        if y is x and trial < best_res:  # no momentum, so y is feasible
-            best_x, best_res = x, trial
-        if best_res <= grad_map_tol:
-            return Reference(best_x, best_res, True, it)
-        if trial < 0.9 * best_trial:
-            best_trial, last_improvement = trial, it
-        if it - last_improvement > stall_window:
-            break
         x_new = proj(y - step * g)
         it += 1
-        if trial <= grad_map_tol:
-            certified = residual(x_new, grad(x_new))
+        gap = y - x_new
+        bound = max(1.0, 1.0 / step) * math.sqrt(gap @ gap)
+        if bound <= grad_map_tol:
+            p, g_p = (y, g) if y is x else (x_new, grad(x_new))
+            certified = residual(p, g_p)
             if certified < best_res:
-                best_x, best_res = x_new, certified
+                best_x, best_res = p, certified
             if certified <= grad_map_tol:
-                return Reference(x_new, certified, True, it)
-        if float((y - x_new) @ (x_new - x)) > 0.0:
+                return Reference(p, certified, True, it)
+        if bound < 0.9 * best_bound:
+            best_bound, last_improvement = bound, it
+        if it - last_improvement > stall_window:
+            break
+        dx = x_new - x
+        if float(gap @ dx) > 0.0:
             t = 1.0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        y = x_new + beta * (x_new - x) if beta > 0.0 else x_new
+        y = x_new + beta * dx if beta > 0.0 else x_new
         x, t = x_new, t_next
     certified = residual(x, grad(x))
     if certified < best_res:
@@ -250,7 +255,8 @@ def _minimize_newton(saa: SaaMinimization, grad_map_tol: float, max_iter: int) -
     Each outer step minimizes the quadratic model g.d + d.H d/2 over the
     feasible set with _minimize_projected, given the model gradient
     g + H(p - x) and the step 1/lambda_max(H), to a tolerance that tightens
-    with the residual. It then halves the step from 1 until F decreases by
+    with the residual, projecting once per inner iteration and once per
+    certification. It then halves the step from 1 until F decreases by
     1e-4 of the model slope (Armijo). Once F changes by no more than its
     rounding, F cannot rank two points and the certificate does: a step is
     then taken only if it lowers the residual. Every iterate is certified, so

@@ -4,7 +4,9 @@ Each case is the CLI run `adasa --problem P --scheme S --seed 0
 --replications 3 --iters 300`. It pins the SHA-256 of the CSV, the SHA-256 of
 `meta.json` with `config.out` blanked (it names the output path), and
 repr(terminal_mean). A change that moves any of them changes the numbers a
-user gets, so it must re-pin these values and say why.
+user gets, so it must re-pin these values and say why:
+`PYTHONPATH=src python tests/test_golden.py` prints GOLDEN as the current code
+computes it.
 """
 
 from __future__ import annotations
@@ -35,19 +37,19 @@ SIZE = {"replications": 3, "iters": 300, "seed": 0}
 # (problem, scheme): (CSV SHA-256, meta.json SHA-256, repr(terminal_mean))
 GOLDEN = {
     ("utility", "hsa"): (
-        "28e043edca4df9a80109afb186d6ecc34eefb0caffd96c6e46da5f59929dbf1d",
-        "e1a2c6e1faf1b91d3a4e068f9af450d3e32447e563c631e6929a85c1e67026a9",
-        "0.007202623571140674",
+        "b166d149dd0ac8ae447edf5c8f9aa145e0f5750a92ee4efd76b6d6ece52d9ab2",
+        "173deb519d4d851d7a77136af5372b75482c187b24684795ab13055203418a73",
+        "0.007202623628617043",
     ),
     ("utility", "rsa"): (
-        "eb44f303d9a831dfe4841f1107463b49f25da160e283c5e83bca64242824a4c7",
-        "7289420147a6a156ef38c6d947e4ed1809d6135b3696d6ec370928efd44a2059",
-        "0.011641331165745457",
+        "a0491ab76facd408261a66effcb9e6b7557b8aa3b0bfd4ec9fbe6fb9384beed2",
+        "47d2bc71710d3c77e05907e79905bb487a33878229e620619bd8dfd6f6b10dca",
+        "0.011641331263701515",
     ),
     ("utility", "csa"): (
-        "1ea511912d6121a829213cffcb3ad27079abfa3423bf5ef7a140a0243d3562dd",
-        "2f80a98f5714ea7d42ce92d03573f16bb63919ca7cc8e7e7b4800d42b033395a",
-        "0.01333124142126108",
+        "949be9e83d5f2292599ff050b0ed6e5fedfd49634f9ba33e6de26628a2612d7e",
+        "4bbde8a560eecce605a622177bb642348e7037767bf031389c22b1a145459597",
+        "0.01333124153270559",
     ),
     ("bimatrix", "hsa"): (
         "6a942d244c267502417148a15bd569e5a59fd73df54142fe0167fea2e1832112",
@@ -65,7 +67,7 @@ GOLDEN = {
         "0.7427746304452465",
     ),
     ("network", "hsa"): (
-        "ffbbad8a92e3ac4586f944ffc184008aaf2e706e9161956c086489dcda4862c1",
+        "2961c8f076d4d5880bb7d9edcf4610e07ef9f7c2d5e402a50fa6da278dd97257",
         "4d1790f4d1329c8675fe8ee619de7843a91ea88b636355a58d3411b44808e561",
         "0.00015762467531061776",
     ),
@@ -82,8 +84,7 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def shared_inputs():
+def cached_inputs():
     """Setup and reference of each problem, built once and shared by its schemes
     (neither depends on the scheme)."""
     cache = {}
@@ -101,6 +102,11 @@ def shared_inputs():
         return cache[problem]
 
     return get
+
+
+@pytest.fixture(scope="module")
+def shared_inputs():
+    return cached_inputs()
 
 
 def pinned_outputs(problem, scheme, shared_inputs, out_dir):
@@ -156,3 +162,16 @@ def test_utility_outputs_do_not_depend_on_blas_threads(tmp_path):
         )
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0][0]).hexdigest() == GOLDEN["utility", "hsa"][0]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    get = cached_inputs()
+    print("GOLDEN = {")
+    with tempfile.TemporaryDirectory() as out_dir:
+        for problem, scheme in GOLDEN:
+            csv_hash, meta_hash, mean = pinned_outputs(problem, scheme, get, Path(out_dir))
+            print(f'    ("{problem}", "{scheme}"): (')
+            print(f'        "{csv_hash}",\n        "{meta_hash}",\n        "{mean}",\n    ),')
+    print("}")

@@ -8,6 +8,7 @@ import pytest
 
 from adasa import problems as problems_mod
 from adasa import smoothing
+from adasa.harness import _TAG_PROBLEM
 from adasa.problems import (
     BimatrixProblem,
     NetworkProblem,
@@ -17,6 +18,7 @@ from adasa.problems import (
     _draw_indices,
     _gaussian_max_affine,
     _index_weights,
+    _minimize_projected,
     capacity_vector,
     network_gradient,
     network_value,
@@ -1030,6 +1032,87 @@ class TestSaaReference:
             saa_reference(_QuadraticToy([0.0]), sample_size=10, seed=0)
 
 
+class _Counted:
+    """A function that counts its calls."""
+
+    def __init__(self, function):
+        self.function, self.calls = function, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.function(*args)
+
+
+class TestInnerSolver:
+    """_minimize_projected projects once per iteration, once for proj(x0) and
+    once per certification, and certifies the point it returns."""
+
+    # an ill-conditioned quadratic model on the simplex with a boundary
+    # minimizer: H = QQ^T + 0.01 I, grad = H p - b
+    _rng = np.random.default_rng(3)
+    _q = _rng.standard_normal((6, 6))
+    _h = _q @ _q.T + 0.01 * np.eye(6)
+    _b = _rng.standard_normal(6)
+    _step = 1.0 / float(np.linalg.eigvalsh(_h)[-1])
+    _x0 = np.full(6, 1.0 / 6.0)
+
+    def _grad(self, p):
+        return self._h @ p - self._b
+
+    def _certificate(self, p):
+        return float(np.linalg.norm(p - project_simplex(p - self._grad(p))))
+
+    @pytest.mark.parametrize("max_iter", [1, 7, 40])
+    def test_budget_run_projects_once_per_iteration(self, max_iter, caplog):
+        proj = _Counted(project_simplex)
+        with caplog.at_level(logging.WARNING, logger="adasa"):
+            ref = _minimize_projected(self._grad, proj, self._x0, self._step, 0.0, max_iter)
+        assert "returning best iterate" in caplog.text
+        assert not ref.converged and ref.iterations == max_iter
+        # proj(x0), one per step, and the certification of the last iterate
+        assert proj.calls == max_iter + 2
+        assert ref.grad_map_norm == self._certificate(ref.point)
+
+    def test_converged_run_certifies_once(self):
+        proj = _Counted(project_simplex)
+        ref = _minimize_projected(self._grad, proj, self._x0, self._step, 1e-10, 100_000)
+        assert ref.converged and ref.iterations > 20
+        assert proj.calls == ref.iterations + 2
+        assert ref.grad_map_norm == self._certificate(ref.point) <= 1e-10
+
+    def test_a_feasible_solution_is_certified_with_the_gradient_in_hand(self):
+        # from a point that already meets the tolerance, the first step's gap
+        # triggers certification of y = proj(x0), which has no momentum
+        x0 = _minimize_projected(
+            self._grad, project_simplex, self._x0, self._step, 1e-12, 100_000
+        ).point
+        grads = []
+
+        def grad(p):
+            grads.append(p)
+            return self._grad(p)
+
+        proj = _Counted(project_simplex)
+        ref = _minimize_projected(grad, proj, x0, self._step, 1e-8, 100_000)
+        assert ref.converged and ref.iterations == 1
+        assert np.array_equal(ref.point, project_simplex(x0))
+        assert len(grads) == 1 and proj.calls == 3
+        assert ref.grad_map_norm == self._certificate(ref.point) <= 1e-8
+
+    def test_network_reference_makes_fewer_projections_and_nnls_calls(self, monkeypatch):
+        # the CLI's seed-0 instance, the bench's; a residual computed at every
+        # inner iteration made 106 projections, 6 of them by NNLS
+        problem = NetworkProblem.from_seed(5, "c3", seed=np.random.default_rng([0, _TAG_PROBLEM]))
+        projections = _Counted(problems_mod.project_capacity)
+        solves = _Counted(problems_mod._nnls())
+        monkeypatch.setattr(problems_mod, "project_capacity", projections)
+        monkeypatch.setattr(problems_mod, "_nnls", lambda: solves)
+        ref = saa_reference(problem)
+        assert ref.converged and ref.grad_map_norm <= 1e-8
+        assert projections.calls < 106
+        assert solves.calls < 6
+
+
 def _saddle_residual(problem, point):
     """Natural residual ||z - P(z - F(z))|| of the regularized game at the
     stacked z = (x, y), F = (A^T y + eta x, -A x + eta y) from exact_gradient."""
@@ -1096,6 +1179,18 @@ class TestBimatrixReference:
         residual = _saddle_residual(problem, ref.point)
         assert abs(residual - ref.grad_map_norm) <= 1e-12
         assert residual <= 1e-8
+
+    @pytest.mark.parametrize("eta", [0.1, 0.01])
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+    def test_off_default_game_converges(self, kind, eta):
+        # the fast half of the reference's off-default gate set
+        rng = np.random.default_rng(0)
+        matrix = rng.uniform(size=(20, 20)) if kind == "uniform" else rng.standard_normal((20, 20))
+        problem = BimatrixProblem(n=20, eta=eta, epsilon=0.2, matrix=matrix)
+        ref = saa_reference(problem, sample_size=1000, seed=0)
+        assert ref.converged
+        assert ref.grad_map_norm <= 1e-8
+        assert _saddle_residual(problem, ref.point) <= 1e-8
 
     def test_bench_instance_is_the_vertex_pair(self):
         problem = BimatrixProblem(n=20, eta=0.01, epsilon=0.2)

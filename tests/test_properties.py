@@ -175,6 +175,45 @@ def test_capacity_projection_is_feasible_idempotent_and_kkt(instance):
     assert kkt_residual(v, x, a, c) <= 1e-10
 
 
+@SETTINGS
+@given(instance=capacity_instances(), magnitude=st.sampled_from([1e2, 1e4, 1e6]))
+def test_capacity_projection_of_large_vectors_is_feasible_and_kkt(instance, magnitude):
+    """The least-distance row h = [-v; Av - C] grows with |v|; unscaled, NNLS
+    lost feasibility like |v|^3 (max(Ax - C) ~1e-2 at |v| ~ 1e4). The KKT
+    check runs on the problem divided by m = max|v|, whose projection is x/m."""
+    v, a, c = instance
+    v = v * magnitude
+    x = project_capacity(v, a, c)
+    m = max(1.0, float(np.abs(v).max()))
+    assert np.all(x >= 0.0)
+    assert np.all(a @ x - c <= 64.0 * np.finfo(float).eps * m)
+    assert kkt_residual(v / m, x / m, a, c / m) <= 1e-10
+
+
+@SETTINGS
+@given(
+    instance=capacity_instances(),
+    onto_simplex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    g_scale=st.sampled_from([1e-6, 1e-2, 1.0, 1e2]),
+    s=st.sampled_from([1e-3, 0.05, 0.5, 1.0, 2.0, 20.0, 100.0]),
+)
+def test_step_gap_bounds_the_unit_residual_at_a_feasible_point(
+    instance, onto_simplex, seed, g_scale, s
+):
+    """The bound _minimize_projected stops on: at a feasible y,
+    ||y - P(y - g)|| <= max(1, 1/s) ||y - P(y - s g)|| for every step s,
+    because the gradient mapping's norm falls and the step's gap rises with s.
+    The relative and absolute slack cover the rounding of the projections."""
+    v, a, c = instance
+    proj = project_simplex if onto_simplex else (lambda u: project_capacity(u, a, c))
+    y = proj(v)
+    g = np.random.default_rng(seed).standard_normal(v.size) * g_scale
+    unit = np.linalg.norm(y - proj(y - g))
+    gap = np.linalg.norm(y - proj(y - s * g))
+    assert unit <= max(1.0, 1.0 / s) * gap * (1.0 + 1e-9) + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # frozen formulas: each step kernel must reproduce these bit for bit
 
