@@ -9,6 +9,7 @@ import sys
 import warnings
 
 from .harness import (
+    CI_LEVEL,
     PROBLEMS,
     SCHEMES,
     emit_csv,
@@ -113,7 +114,8 @@ def _run(argv: list[str] | None) -> int:
     print(f"terminal geometric mean squared error: {math.exp(ci.log_center):.6e}")
     if config.replications >= 2:
         print(
-            "terminal 90% CI of the geometric mean (log-domain, shown as errors): "
+            f"terminal {CI_LEVEL:.0%} CI of the geometric mean "
+            "(log-domain, shown as errors): "
             f"[{math.exp(ci.lower):.6e}, {math.exp(ci.upper):.6e}]"
         )
     print(f"wrote {config.out} and {meta_path}")

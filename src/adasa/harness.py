@@ -56,6 +56,7 @@ _TAG_PROBLEM, _TAG_PILOT, _TAG_REFERENCE = 101, 102, 103
 _PILOT_SIZE = 10_000  # oracle samples behind each pilot estimate
 
 LOG_FLOOR = 1e-300  # squared errors can be exactly zero (vertex solutions)
+CI_LEVEL = 0.90  # the level of every interval a run reports
 
 PROBLEM_DEFAULTS: dict[str, dict[str, float | int]] = {
     "utility": {"n": 20, "iters": 4000, "eta": 0.5, "epsilon": 0.5},
@@ -203,13 +204,8 @@ def _t_quantile(df: int, p: float) -> float:
     raise RuntimeError(f"t quantile (df={df}, p={p}) did not converge")
 
 
-def _check_level(level: float) -> None:
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level={level} outside (0, 1)")
-
-
 def log_t_interval(
-    errors: np.ndarray, level: float = 0.90
+    errors: np.ndarray, level: float = CI_LEVEL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-wise (centre, lower, upper) of the Student-t interval
     mean +/- t_{(1+level)/2, m-1} * s/sqrt(m) on log errors over the m rows.
@@ -217,7 +213,8 @@ def log_t_interval(
     Zero errors are floored at LOG_FLOOR before the log; with one row the
     bounds are NaN. A level outside (0, 1), or NaN, raises ValueError.
     """
-    _check_level(level)
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level={level} outside (0, 1)")
     logs = np.log(np.maximum(errors, LOG_FLOOR))
     reps = logs.shape[0]
     center = logs.mean(axis=0)
@@ -432,23 +429,24 @@ class ExperimentResult:
     def terminal_mean(self) -> float:
         return float(self.terminal_errors.mean())
 
-    def terminal_ci(self, level: float = 0.90) -> ConfidenceInterval:
-        """Log-domain interval of the terminal errors; exp(log_center) is their
-        geometric mean."""
-        center, lo, hi = log_t_interval(self.terminal_errors[:, None], level)
+    def terminal_ci(self) -> ConfidenceInterval:
+        """Log-domain interval of the terminal errors at CI_LEVEL;
+        exp(log_center) is their geometric mean."""
+        center, lo, hi = log_t_interval(self.terminal_errors[:, None], CI_LEVEL)
         return ConfidenceInterval(float(center[0]), float(lo[0]), float(hi[0]))
 
 
-def _columns(trajectories: Sequence[Trajectory], level: float):
-    """Per-iteration gamma, mean, ci_lo and ci_hi columns of equal-length
-    trajectories, and whether a zero error was floored for the log CI."""
+def _columns(trajectories: Sequence[Trajectory]):
+    """Per-iteration gamma, mean, ci_lo and ci_hi (at CI_LEVEL) columns of
+    equal-length trajectories, and whether a zero error was floored for the
+    log CI."""
     if not trajectories:
         raise ValueError("no trajectories to aggregate")
     n_iters = trajectories[0].gammas.size
     if any(t.squared_errors.size != n_iters for t in trajectories):
         raise ValueError("trajectories have mismatched lengths")
     errors = np.stack([t.squared_errors for t in trajectories])
-    _, lo, hi = log_t_interval(errors, level)
+    _, lo, hi = log_t_interval(errors, CI_LEVEL)
     floored = bool(np.any(errors < LOG_FLOOR))
     return trajectories[0].gammas, errors.mean(axis=0), lo, hi, floored
 
@@ -457,7 +455,6 @@ def run_replications(
     config: ExperimentConfig,
     reference: Reference | None = None,
     setup: RunSetup | None = None,
-    ci_level: float = 0.90,
 ) -> ExperimentResult:
     """Execute `config.replications` independent trajectories and aggregate.
 
@@ -467,10 +464,8 @@ def run_replications(
     error curve is measured against it; an injected one is used as given, with
     a warning on the `adasa` logger when it did not converge. Replication 0's
     schedule is built before the reference solve, so a configuration whose
-    schedule cannot be built fails before that work; a ci_level outside
-    (0, 1), or NaN, fails before the setup is built.
+    schedule cannot be built fails before that work.
     """
-    _check_level(ci_level)
     setup = setup if setup is not None else build_setup(config)
     first_policy = make_policy(config, setup.constants)
     if reference is None:
@@ -522,7 +517,7 @@ def run_replications(
                 f"replication {r} (seed {config.seed + r}) failed: {exc}"
             ) from exc
         trajectories.append(traj)
-    gammas, mean, ci_lo, ci_hi, floored = _columns(trajectories, ci_level)
+    gammas, mean, ci_lo, ci_hi, floored = _columns(trajectories)
     return ExperimentResult(
         config=config,
         trajectories=trajectories,
@@ -550,11 +545,10 @@ def emit_csv(
     trajectories: Sequence[Trajectory],
     bounds: Sequence[float],
     path: str,
-    ci_level: float = 0.90,
 ) -> None:
     """Write `k,gamma,mean_sq_error,ci_lo,ci_hi,theory_bound`, one row per
     iteration; 17 significant digits so values round-trip bit-exactly."""
-    gammas, mean, ci_lo, ci_hi, _ = _columns(trajectories, ci_level)
+    gammas, mean, ci_lo, ci_hi, _ = _columns(trajectories)
     n_iters = gammas.size
     bounds = np.asarray(bounds, dtype=float)
     if bounds.size != n_iters:

@@ -667,33 +667,12 @@ class UtilityProblem:
 # bilinear matrix game
 
 
-def _index_weights(u: np.ndarray) -> np.ndarray:
-    shift = min(0.0, float(u.min()))
-    w = u - shift
-    total = w.sum()
-    if total <= 1e-300:
-        return np.full(u.size, 1.0 / u.size)
-    return w / total
-
-
-def _draw_index(u: np.ndarray, uniform: float) -> int:
-    """Index q with probability (u_q - min(0, u)) / sum_j (u_j - min(0, u)),
-    driven by one uniform variate on [0, 1)."""
-    w = _index_weights(u)
-    return min(int(np.add.accumulate(w).searchsorted(uniform, "right")), u.size - 1)
-
-
-def _draw_indices(u: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """_draw_index on each row of u, row i driven by uniforms[i]: the same
-    weights, cumulative sums and comparisons, so the same indices. On a single
-    row it is about twice as slow as _draw_index, which the run oracle uses."""
-    shift = np.minimum(u.min(axis=1, keepdims=True), 0.0)
-    w = u - shift
-    total = w.sum(axis=1, keepdims=True)
-    flat = total <= 1e-300
-    w = np.where(flat, 1.0 / u.shape[1], w / np.where(flat, 1.0, total))
-    below = np.cumsum(w, axis=1) <= uniforms[:, None]
-    return np.minimum(np.count_nonzero(below, axis=1), u.shape[1] - 1)
+def _draw_index(w: np.ndarray, u: float | np.ndarray) -> np.intp | np.ndarray:
+    """Index q with probability w_q / sum(w), for nonnegative weights w, from
+    u uniform on [0, 1): the number of cumulative weights at or below u,
+    capped at n - 1 by leaving out the last (rounding can leave it below 1).
+    u is a float, or an array of uniforms for an array of indices."""
+    return np.add.accumulate(w / w.sum())[:-1].searchsorted(u, "right")
 
 
 @dataclass
@@ -741,20 +720,20 @@ class BimatrixProblem:
     ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """Smoothed regularized saddle oracle for the engine, on a row of draw.
 
-        One joint uniform draw z from the 2n-ball perturbs both blocks; indices
-        are sampled at the perturbed pair, and the y-part is returned in ascent
-        convention: (A_{l(y+z2), .} + eta*(x+z1), A_{., l(x+z1)} - eta*(y+z2)).
+        The indices are drawn at the feasible pair, as in sampled_gradient, so
+        the row and column are unbiased for A^T y and A x. One joint uniform
+        draw z from the 2n-ball perturbs the regularization terms, and the
+        y-part is returned in ascent convention:
+        (A_{l(y), .} + eta*(x+z1), A_{., l(x)} - eta*(y+z2)). Its mean is the
+        operator (A^T y + eta x, A x - eta y), which smoothing leaves as it is
+        because it is affine.
         """
         n, eta, a = self.n, self.eta, self.matrix
         n2 = 2 * n
 
         def oracle(x, y, row):
-            xh = x + row[:n]
-            yh = y + row[n:n2]
-            l_row = _draw_index(yh, row[n2])
-            l_col = _draw_index(xh, row[n2 + 1])
-            gx = a[l_row, :] + eta * xh
-            gy = a[:, l_col] - eta * yh
+            gx = a[_draw_index(y, row[n2]), :] + eta * (x + row[:n])
+            gy = a[:, _draw_index(x, row[n2 + 1])] - eta * (y + row[n:n2])
             return gx, gy
 
         return oracle
@@ -767,29 +746,26 @@ class BimatrixProblem:
 
         The samples are built in place in the ball columns, a block of rows at
         a time. IEEE addition commutes and a - b is a + (-b) exactly, so
-        eta*xh + A_l and (-eta)*yh + A_l are run_oracle's bits."""
+        eta*(x+z1) + A_l and (-eta)*(y+z2) + A_l are run_oracle's bits."""
         n, eta, a = self.n, self.eta, self.matrix
         rows = self.draw(m, rng)
+        l_row = _draw_index(y, rows[:, 2 * n])
+        l_col = _draw_index(x, rows[:, 2 * n + 1])
         for lo in range(0, m, ROW_BLOCK):
             block = rows[lo : lo + ROW_BLOCK]
             xh, yh = block[:, :n], block[:, n : 2 * n]
             xh += x
             yh += y
-            l_row = _draw_indices(yh, block[:, 2 * n])
-            l_col = _draw_indices(xh, block[:, 2 * n + 1])
             xh *= eta
-            xh += a[l_row]
+            xh += a[l_row[lo : lo + ROW_BLOCK]]
             yh *= -eta
-            yh += a.T[l_col]
+            yh += a.T[l_col[lo : lo + ROW_BLOCK]]
         return rows[:, : 2 * n]
 
     def lipschitz(self) -> float:
         """Exact Lipschitz constant ||A||_2 + eta of the regularized saddle
-        operator (A^T y + eta x, -A x + eta y), the mean of the unperturbed
-        row/column draws, used in place of the generic smoothed-oracle bound.
-        It is not a constant of the run oracle's mean: that oracle draws its
-        indices at the perturbed point, and where that point leaves the
-        orthant the draw is biased away from the operator.
+        operator (A^T y + eta x, -A x + eta y), the run oracle's mean, used
+        in place of the generic smoothed-oracle bound.
         """
         return float(np.linalg.norm(self.matrix, 2)) + self.eta
 

@@ -52,19 +52,19 @@ GOLDEN = {
         "0.01333124153270559",
     ),
     ("bimatrix", "hsa"): (
-        "6a942d244c267502417148a15bd569e5a59fd73df54142fe0167fea2e1832112",
-        "399aa1c1d6fc7b47f64038f24a6db0f3c1ac6ccbb75c6f06090952f509522a85",
-        "0.7421550943379812",
+        "c1d0a90f223e93cc4e57f60e5d55b82e8b0251f58d073b97658a919636243168",
+        "2cca359841d4b9f1485bd2c200d7cf374fbd6a0ec1e350810814351718e3eabb",
+        "0.7421550943379814",
     ),
     ("bimatrix", "rsa"): (
-        "e6e44decd1a326ca9bb3dd8bef4fd7a55372c652a7af2a72f6106f4dacd30110",
-        "2e4c66b173e303f9e25b56558c11fa1badf627fa0ddbed73d5e1c4559c0cfd17",
-        "0.9466914602881787",
+        "95ab3601a6c12f17eeabcb2f0ed5da545b5f2fd52ef0eb39743bc7cdceec82fb",
+        "f70e3c2c9463df138f2caf653334261381be788c69909d86ba2675afd5a4476b",
+        "0.9454363147652426",
     ),
     ("bimatrix", "csa"): (
-        "46ac58ab87eaa03c4b4e954d211a8819614c0d803ad358dfc70b0fe31044d9fc",
-        "784571309c8ea5479f3bfe59ebe027f83d0685967674ab1645033e45a527e3a4",
-        "0.7427746304452465",
+        "189164b2e7eab595369cb01f83e8fd18c6e77b17892c3fab4b1d40a98692c097",
+        "5b1cc275c37b444c5cf9625ba2b192f27af1aba7396774048b702ce6efe3d8ee",
+        "0.7359210270239837",
     ),
     ("network", "hsa"): (
         "2961c8f076d4d5880bb7d9edcf4610e07ef9f7c2d5e402a50fa6da278dd97257",

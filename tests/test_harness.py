@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 import math
@@ -70,28 +71,12 @@ class TestConfidenceInterval:
             ConfidenceInterval(log_center=0.5, lower=1.0, upper=0.0)
 
     @pytest.mark.parametrize("level", [-0.2, 0.0, 1.0, 1.5, math.nan])
-    def test_level_outside_the_unit_interval_is_rejected(
-        self, level, tmp_path, monkeypatch
-    ):
+    def test_level_outside_the_unit_interval_is_rejected(self, level):
         errors = np.array([[1.0, 0.5], [2.0, 0.25], [3.0, 4.0]])
-        result = _toy_result(errors, [0.1, 0.1])
         with pytest.raises(ValueError, match="outside"):
             log_t_interval(errors, level)
         with pytest.raises(ValueError, match="outside"):
             log_t_interval(errors[:1], level)
-        with pytest.raises(ValueError, match="outside"):
-            result.terminal_ci(level)
-        with pytest.raises(ValueError, match="outside"):
-            emit_csv(result.trajectories, result.bound, str(tmp_path / "x.csv"), level)
-        config = resolve_config("bimatrix", "rsa", n=4, iters=1, replications=2)
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("the level is checked before any setup or solve")
-
-        monkeypatch.setattr(harness, "build_setup", no_work)
-        monkeypatch.setattr(harness, "saa_reference", no_work)
-        with pytest.raises(ValueError, match="outside"):
-            run_replications(config, ci_level=level)
 
 
 def _toy_trajectory(errors, gammas=None):
@@ -683,3 +668,36 @@ class TestReportedStatistics:
         shown_lo, shown_hi = (float(v) for v in printed.split(", "))
         assert shown_lo <= geo <= shown_hi
         assert "terminal mean squared error (arithmetic)" in stdout
+
+
+class TestInteriorGame:
+    """The paper's claims on a bilinear game whose equilibrium is interior: the
+    symmetric A = (B + B^T)/2, B uniform, at eta = eps = 0.2. (On the default
+    game the equilibrium is a vertex, where RSA and CSA reach an error of
+    exactly 0.) The setup is _setup_bimatrix's own, on this matrix."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        b = np.random.default_rng(0).uniform(size=(20, 20))
+        sizes = {"eta": 0.2, "epsilon": 0.2, "replications": 10, "iters": 4000}
+        with pytest.MonkeyPatch.context() as patch:
+            game = functools.partial(problems.BimatrixProblem, matrix=(b + b.T) / 2)
+            patch.setattr(harness, "BimatrixProblem", game)
+            setup = build_setup(resolve_config("bimatrix", "hsa", **sizes))
+        reference, results = None, {}
+        for scheme in ("hsa", "rsa", "csa"):
+            config = resolve_config("bimatrix", scheme, **sizes)
+            results[scheme] = run_replications(config, reference=reference, setup=setup)
+            reference = results[scheme].reference
+        return results
+
+    def test_rsa_and_csa_beat_hsa(self, suite):
+        hsa = suite["hsa"].terminal_mean
+        assert suite["rsa"].terminal_mean < hsa
+        assert suite["csa"].terminal_mean < hsa
+
+    @pytest.mark.parametrize("scheme", ["rsa", "csa"])
+    def test_mean_error_stays_under_the_bound(self, suite, scheme):
+        result = suite[scheme]
+        over = np.flatnonzero(result.mean_sq_error > result.bound)
+        assert over.size == 0, f"over the bound at {over.size} iterations from k={over[0]}"

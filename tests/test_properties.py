@@ -305,33 +305,44 @@ def test_project_simplex_bitwise_equals_frozen_formula(v):
     assert same_bits(project_simplex(v), frozen_project_simplex(v))
 
 
+# simplex points: nonnegative weights over their sum, zeros and ties included
+simplex_points = (
+    hnp.arrays(
+        float,
+        st.integers(1, 30),
+        elements=st.sampled_from([0.0, 0.1, 0.25, 1.0]) | st.floats(0.0, 1.0),
+    )
+    .filter(lambda w: w.sum() > 0.0)
+    .map(lambda w: w / w.sum())
+)
+
+
 @SETTINGS
 @given(
-    u=st.one_of(
-        hnp.arrays(float, st.integers(1, 30), elements=st.floats(-2.0, 2.0)),
-        hnp.arrays(float, st.integers(1, 30), elements=st.floats(0.0, 1.0)),
-    ),
+    u=simplex_points,
     pick=st.integers(0, 2**31),
     uniform=st.floats(0.0, 1.0, exclude_max=True),
 )
 # rounding leaves cumsum(w)[-1] = 1 - 2^-53, the largest uniform, so only the
-# last-index fallback keeps the index in range
+# cap at the last index keeps the index in range
 @example(u=np.full(10, 0.1), pick=0, uniform=1.0 - 2.0**-53)
 def test_draw_index_bitwise_equals_frozen_formula(u, pick, uniform):
-    cumulative = np.cumsum(problems._index_weights(u))
+    # at a simplex point the index is that of the earlier shifted-weight draw,
+    # one uniform at a time and for an array of them
+    cumulative = np.cumsum(u / u.sum())
     # a uniform that ties a cumulative weight, or any uniform at all
-    for value in (float(cumulative[pick % u.size]), uniform):
-        if value < 1.0:
-            got = problems._draw_index(u, value)
-            assert type(got) is int
-            assert got == frozen_draw_index(u, value)
+    values = [v for v in (float(cumulative[pick % u.size]), uniform) if v < 1.0]
+    want = [frozen_draw_index(u, value) for value in values]
+    assert [int(problems._draw_index(u, value)) for value in values] == want
+    assert problems._draw_index(u, np.array(values)).tolist() == want
 
 
 def test_draw_index_last_index_fallback_is_reached():
     u = np.full(10, 0.1)
     top = 1.0 - 2.0**-53
-    assert np.cumsum(problems._index_weights(u))[-1] == top
+    assert np.cumsum(u / u.sum())[-1] == top
     assert problems._draw_index(u, top) == 9
+    assert problems._draw_index(u, np.array([top, 0.0])).tolist() == [9, 0]
 
 
 @SETTINGS
