@@ -19,7 +19,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,22 +31,92 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # a relative change of F this small is rounding, too small for Armijo to rank
 # two points (near x* the utility F meets its quadratic model to ~3e-16)
 _VALUE_ROUNDING = 1e-14
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
 # projections
 
 
-@functools.cache
-def _nnls():
-    """scipy.optimize.nnls, imported on the first call. Only the capacity
-    projection needs scipy.optimize, which costs ~0.4 s and ~41 MB to load
-    with what it pulls in (scipy.special among it), so utility and bimatrix
-    runs never load it; NetworkProblem makes the first call while it is
-    built, so no projection pays for the import."""
-    from scipy.optimize import nnls
+def _nnls(
+    e: np.ndarray,
+    f: np.ndarray,
+    passive: Sequence[int] = (),
+    max_iter: int | None = None,
+) -> tuple[np.ndarray, float]:
+    """min ||Ew - f|| over w >= 0, and that norm, by Lawson & Hanson's
+    active-set method (Solving Least Squares Problems, 1974, ch. 23), exact in
+    finitely many steps. It replaces scipy's nnls, whose import cost a
+    network run 0.34-0.50 s and ~42 MB, and which aborts the interpreter on a
+    matrix with no columns; that gives w = 0 and ||f|| here.
 
-    return nnls
+    Each subproblem, least squares on the passive columns, is solved by
+    np.linalg.lstsq on those columns of E, and the final w takes one
+    refinement step from E's own residual: lstsq's SVD can leave a residual
+    gradient ~10x that of a QR solve, which the least-distance point's
+    division by r[n] would carry. A column that enters with a coefficient
+    <= 0, which rounding alone can give, is barred until the next column
+    enters. `passive` warm-starts the method: its columns (each once) are
+    solved for first, and those with coefficients <= 0 leave until all that
+    remain are positive. RuntimeError after max_iter subproblem solves
+    (default 3 × columns, as scipy's)."""
+    e = np.asarray(e, dtype=float)
+    f = np.asarray(f, dtype=float)
+    k = e.shape[1]
+    w = np.zeros(k)
+    f_norm = math.sqrt(f @ f)
+    if not k:
+        return w, f_norm
+    max_iter = 3 * k if max_iter is None else max_iter
+    solves = 0
+
+    def solve(cols: list[int]) -> np.ndarray:
+        nonlocal solves
+        solves += 1
+        if solves > max_iter:
+            raise RuntimeError(f"NNLS did not converge in {max_iter} iterations")
+        return np.linalg.lstsq(e[:, cols], f)[0]
+
+    # the dual e_j^T (f - Ew) is rounded to ~eps |e_j| (|f| + |E| |w|_1)
+    col = math.sqrt((e * e).sum(axis=0).max())
+    rounding = 10.0 * max(e.shape) * _EPS * col
+    kept = list(dict.fromkeys(passive))
+    while kept:
+        s = solve(kept)
+        if s.min() > 0.0:
+            w[kept] = s
+            break
+        kept = [j for j, sj in zip(kept, s.tolist()) if sj > 0.0]
+    barred: list[int] = []
+    while True:
+        dual = (f - e @ w) @ e
+        dual[kept + barred] = -np.inf
+        j = int(dual.argmax())
+        if not dual[j] > rounding * (f_norm + col * w.sum()):
+            if kept:
+                step = np.linalg.lstsq(e[:, kept], f - e @ w)[0]
+                w[kept] = np.maximum(w[kept] + step, 0.0)
+            break
+        trial = solve(kept + [j])
+        if trial[-1] <= 0.0:
+            barred.append(j)
+            continue
+        kept.append(j)
+        barred = []
+        while min(trial.tolist(), default=1.0) <= 0.0:
+            # move from w toward the trial until a coefficient reaches 0
+            wp = w[kept]
+            out = trial <= 0.0
+            ratio = wp[out] / (wp[out] - trial[out])
+            at = int(ratio.argmin())
+            wp += ratio[at] * (trial - wp)
+            wp[out.nonzero()[0][at]] = 0.0
+            w[kept] = np.maximum(wp, 0.0)
+            kept = [j for j, wj in zip(kept, wp.tolist()) if wj > 0.0]
+            trial = solve(kept)
+        w[kept] = trial
+    r = e @ w - f
+    return w, math.sqrt(r @ r)
 
 
 @functools.cache
@@ -93,61 +163,157 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - float(css[rho - 1]) / rho, 0.0)
 
 
-def project_capacity(
-    v: np.ndarray, link_matrix: np.ndarray, capacity: np.ndarray
-) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, Ax <= C}, in three stages:
+def _simplex_threshold(values: list[float], total: float) -> float | None:
+    """project_simplex's sort and threshold for {x >= 0, sum x = total}, on
+    Python floats (a link has a handful of users): tau with
+    sum max(values - tau, 0) = total, for total > 0. None when even the largest
+    value is not above its threshold in floats (total below its rounding)."""
+    css, tau = -total, None
+    for rho, u in enumerate(sorted(values, reverse=True), 1):
+        css += u
+        if u <= css / rho:
+            break
+        tau = css / rho
+    return tau
+
+
+def _capacity_projection(
+    link_matrix: np.ndarray, capacity: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Euclidean projection onto {x >= 0, Ax <= C}, as a function of v, with
+    what depends on A and C alone formed once. It works in four stages:
 
     - unchanged: a feasible v comes back as the same object;
     - clipped: x = max(v, 0) is the nearest point of the orthant, a superset
       of the feasible set, so when Ax <= C it is the projection, exactly;
-    - NNLS: while a link is still over capacity, x = v + z for the shortest z
-      with Gz >= h, G = [I; -A], h = [-v; Av - C]: least-distance programming,
-      solved exactly by one NNLS call (Lawson & Hanson 1974, ch. 23). With w
-      the NNLS solution of min ||Ew - f||, w >= 0, E = [G^T; h^T/s] (s the
-      power of two that brings h to at most 1), f = e_{n+1}, r = Ew - f:
-      z = -s r[:n]/r[n], and r = 0 means the constraints admit no point.
+    - held links: hold the link the current point overloads most, and find
+      the nearest point of {x >= 0, a_k x <= C_k for each held k}. While
+      every held row is 0/1 with C_k > 0, that point is the clipped point
+      off the held users, 0 on each user two held links share, and on the
+      other users of each held link k, v minus a threshold tau_k > 0 and
+      clipped, so that they sum to C_k (sort and threshold,
+      `_simplex_threshold`), when each shared user has v_i <= the sum of its
+      links' thresholds: then it meets the KKT conditions, with the
+      thresholds as multipliers. That set contains the feasible set, so when
+      the point meets every capacity it is the projection, exactly; else the
+      link it overloads most is held too. A weighted row, C_k <= 0, a
+      threshold <= 0 or a shared user above its thresholds ends the stage;
+    - least distance: x = v + z for the shortest z with Gz >= h,
+      G = [I; -A], h = [-v; Av - C], solved exactly by one NNLS call
+      (Lawson & Hanson 1974, ch. 23; `_nnls`): with w the solution of
+      min ||Ew - f||, w >= 0, E = [G^T; h^T/s] (s the power of two that
+      brings h to at most 1), f = e_{n+1}, r = Ew - f: z = -s r[:n]/r[n], and
+      r = 0 means the constraints admit no point. Column i < n of E stands
+      for x_i >= 0 and column n + l for link l; NNLS starts from the active
+      constraints of the last point the stage found, or of the clipped point
+      (their zero entries and the held links), and the link that ended the
+      stage.
 
-    A v with a NaN or infinite entry is rejected at every stage, before NNLS,
-    from the reductions the stages make anyway: a NaN or -inf shows in v.min(),
-    and a +inf makes every excess entry inf or NaN (0 * inf is NaN, which
-    numpy warns of), so no feasible stage returns it. A finite v so large that
-    Av overflows is rejected the same way.
+    A v with a NaN or infinite entry is rejected before any stage returns it
+    and before NNLS: an infinity shows in the minimum or the maximum of v, and
+    a NaN there or in every overload of the clipped point (0 * NaN is NaN).
+    A finite v so large that Av overflows is rejected the same way.
     """
-    v = np.asarray(v, dtype=float)
     a_rows = np.asarray(link_matrix, dtype=float)
     capacity = np.asarray(capacity, dtype=float)
-    low = v.min()
-    if low >= 0.0:
-        excess = a_rows @ v - capacity
-        worst = excess.max()
-        if worst <= 0.0:
-            return v
-    elif math.isfinite(low):
-        x = np.maximum(v, 0.0)
-        if (a_rows @ x - capacity).max() <= 0.0:
-            return x
-        excess = a_rows @ v - capacity
-        worst = excess.max()
-    else:
-        worst = low  # NaN or -inf
-    if not math.isfinite(worst):
-        raise ValueError("cannot project a vector with non-finite entries")
-    n = v.size
-    # h over a power of two, exactly: unscaled, max(Ax - C) grows like |v|^3
-    h = np.concatenate([-v, excess])
-    scale = 2.0 ** max(0, math.frexp(np.abs(h).max())[1])
-    e = np.vstack([np.hstack([np.eye(n), -a_rows.T]), h / scale])
+    n = a_rows.shape[1]
+    # the users of each link whose own set is a capped simplex, None for the
+    # others (r * r == r holds for the floats 0 and 1 alone)
+    simplex = (a_rows * a_rows == a_rows).all(axis=1) & (capacity > 0.0)
+    users = [
+        row.nonzero()[0].tolist() if ok else None
+        for row, ok in zip(a_rows, simplex.tolist())
+    ]
+    caps = capacity.tolist()
+    g_t = np.concatenate([np.eye(n), -a_rows.T], axis=1)
     f = np.zeros(n + 1)
     f[n] = 1.0
-    w, _ = _nnls()(e, f)
-    r = e @ w - f
-    # ||r||^2 = -r[n] at the NNLS optimum, so the empty set's r = 0 shows as
-    # an r[n] within the rounding of h^T w - 1
-    if -r[n] <= w.size * np.finfo(float).eps * (np.abs(e[n]) @ w + 1.0):
-        raise ValueError("the capacity constraints admit no point")
-    # clip the rounding left on the orthant so the point is exactly nonnegative
-    return np.maximum(v - scale * r[:n] / r[n], 0.0)
+
+    def held_point(entries: list[float], clipped: np.ndarray, held: list[int]):
+        """The nearest point of {x >= 0, a_k x <= C_k for k in held}, with
+        entries = v as floats, or None where the stage ends."""
+        crossing = [0] * n  # the held links of each user
+        for k in held:
+            for i in users[k]:
+                crossing[i] += 1
+        point = clipped.tolist()
+        reach = [0.0] * n  # the sum of the thresholds over a user's links
+        for k in held:
+            private = [i for i in users[k] if crossing[i] == 1]
+            tau = _simplex_threshold([entries[i] for i in private], caps[k])
+            if tau is None or tau <= 0.0:
+                return None
+            for i in private:
+                point[i] = max(entries[i] - tau, 0.0)
+            for i in users[k]:
+                reach[i] += tau
+        for i, count in enumerate(crossing):
+            if count > 1:
+                if entries[i] > reach[i]:
+                    return None
+                point[i] = 0.0
+        return np.array(point)
+
+    def project(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        # min and max of a few Python floats cost a third of the ndarray
+        # methods; they may skip a NaN, which every overload then carries
+        entries = v.tolist()
+        low = min(entries)
+        if not (math.isfinite(low) and math.isfinite(max(entries))):
+            raise ValueError("cannot project a vector with non-finite entries")
+        clipped = v if low >= 0.0 else np.maximum(v, 0.0)
+        over = (a_rows @ clipped - capacity).tolist()
+        worst = max(over)
+        if worst <= 0.0:
+            return clipped
+        if not math.isfinite(worst):
+            raise ValueError("cannot project a vector with non-finite entries")
+        held: list[int] = []
+        point = clipped
+        while True:
+            l = over.index(worst)
+            if users[l] is None:
+                break
+            held.append(l)
+            x = held_point(entries, clipped, held)
+            if x is None:
+                break
+            point = x
+            over = (a_rows @ x - capacity).tolist()
+            for k in held:
+                over[k] = 0.0  # met up to the rounding of its threshold
+            worst = max(over)
+            if worst <= 0.0:
+                return x
+        zeros = (point == 0.0).nonzero()[0].tolist()
+        h = np.concatenate([-v, a_rows @ v - capacity])
+        size = np.abs(h)
+        top = size.max()
+        if not math.isfinite(top):
+            raise ValueError("cannot project a vector with non-finite entries")
+        # h over a power of two, exactly: unscaled, max(Ax - C) grows like |v|^3
+        scale = 2.0 ** max(0, math.frexp(top)[1])
+        e = np.concatenate([g_t, h[None] / scale])
+        w, _ = _nnls(e, f, zeros + [n + k for k in held] + [n + l])
+        r = e @ w - f
+        # ||r||^2 = -r[n] at the NNLS optimum, so the empty set's r = 0 shows
+        # as an r[n] within the rounding of h^T w / s - 1
+        if -r[n] <= w.size * _EPS * (size @ w / scale + 1.0):
+            raise ValueError("the capacity constraints admit no point")
+        # clip the rounding left on the orthant so the point is exactly
+        # nonnegative
+        return np.maximum(v - scale * r[:n] / r[n], 0.0)
+
+    return project
+
+
+def project_capacity(
+    v: np.ndarray, link_matrix: np.ndarray, capacity: np.ndarray
+) -> np.ndarray:
+    """The Euclidean projection of v onto {x >= 0, Ax <= C}, by the stages of
+    `_capacity_projection` (which a problem forms once for all its v)."""
+    return _capacity_projection(link_matrix, capacity)(v)
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +1039,7 @@ class NetworkProblem:
         self._gram = self.link_matrix.T @ self.link_matrix
         # network_gradient's 2.0 * a.T, formed once: the same array, same bits
         self._two_a_t = 2.0 * self.link_matrix.T
-        _nnls()  # scipy.optimize loads with the problem, not in a projection
+        self._project = _capacity_projection(self.link_matrix, self.capacity)
 
     @classmethod
     def from_seed(
@@ -923,8 +1089,7 @@ class NetworkProblem:
         return k / (-1.0 - x) + self._two_a_t @ (self.link_matrix @ x)
 
     def projection(self) -> Callable[[np.ndarray], np.ndarray]:
-        a, cap = self.link_matrix, self.capacity
-        return lambda v: project_capacity(v, a, cap)
+        return self._project
 
     def user_caps(self) -> np.ndarray:
         """Per-user upper bound min over crossed links of C_l."""

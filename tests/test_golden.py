@@ -67,7 +67,7 @@ GOLDEN = {
         "0.7359210270239837",
     ),
     ("network", "hsa"): (
-        "2961c8f076d4d5880bb7d9edcf4610e07ef9f7c2d5e402a50fa6da278dd97257",
+        "0dcf5c1ee5b1e477ee5e2ff00269607fb5fca4fc21445b001f18c7848f09764e",
         "4d1790f4d1329c8675fe8ee619de7843a91ea88b636355a58d3411b44808e561",
         "0.00015762467531061776",
     ),

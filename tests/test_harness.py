@@ -605,9 +605,10 @@ class TestCli:
 
     def test_warnings_are_logged_and_the_display_restored(self, tmp_path, caplog, monkeypatch):
         # a network run whose oracle goes non-finite: numpy warns of the
-        # 0 * inf in A v before project_capacity rejects the vector
+        # 0 * inf in A x, then project_capacity rejects the NaN it made
         def infinite_step(config):
-            problems.project_capacity(np.array([np.inf, 0.0]), np.eye(2), np.ones(2))
+            load = np.array([[0.0, 1.0]]) @ np.array([np.inf, 0.0])
+            problems.project_capacity(np.append(load, 0.0), np.eye(2), np.ones(2))
 
         monkeypatch.setattr(adasa.cli, "run_replications", infinite_step)
         argv = ["--problem", "network", "--scheme", "rsa", "--out", str(tmp_path / "o.csv")]

@@ -133,31 +133,54 @@ print("stats", "scipy.stats" in sys.modules)
 """
 
 
-def test_cli_import_leaves_scipy_stats_out(tmp_path):
-    """Each run loads only the scipy modules its problem uses: the CLI import
-    and a whole bimatrix run load none (the run's three interval requests
-    compute one t quantile); the utility problem loads scipy.special while it
-    is built, so its reference solve imports nothing; only the network problem
-    loads scipy.optimize. No path loads scipy.stats."""
+def _run_script(script, *args):
+    """stdout lines of script run by a fresh interpreter on this package."""
     src = str(PACKAGE.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    lines = subprocess.run(
-        [sys.executable, "-c", _SCIPY_LOADS, str(tmp_path / "run.csv")],
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         env=env,
         check=True,
         capture_output=True,
         text=True,
     ).stdout.splitlines()
-    assert lines == [
+
+
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    """Each run loads only the scipy modules its problem uses: the CLI import
+    and a whole bimatrix run load none (the run's three interval requests
+    compute one t quantile); the utility problem loads scipy.special while it
+    is built, so its reference solve imports nothing; the network problem
+    adds none. No path loads scipy.stats or scipy.optimize."""
+    assert _run_script(_SCIPY_LOADS, str(tmp_path / "run.csv")) == [
         "import False False False",
         "bimatrix False False False",
         "quantiles 1",
         "utility True True False",
         "ndtr imports 1",
-        "network True True True",
+        "network True True False",
         "stats False",
     ]
+
+
+_NETWORK_RUN = """
+import sys
+from adasa import harness
+
+config = harness.resolve_config("network", "rsa", iters=50, replications=1, out=sys.argv[1])
+setup = harness.build_setup(config)
+result = harness.run_replications(config, setup=setup)
+harness.emit_csv(result.trajectories, result.bound, config.out)
+harness.emit_metadata(result, config.out)
+print(result.reference.converged, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_network_run_loads_no_scipy_module(tmp_path):
+    """A network run, setup, reference solve, a replication and its output,
+    projects onto the link capacities without any scipy module."""
+    assert _run_script(_NETWORK_RUN, str(tmp_path / "run.csv")) == ["True []"]
 
 
 def _exact_t_cdf_brackets(df, p, q):

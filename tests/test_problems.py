@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls as scipy_nnls  # the oracle; no adasa path loads it
 
 from adasa import problems as problems_mod
 from adasa import smoothing
@@ -17,6 +18,7 @@ from adasa.problems import (
     _draw_index,
     _gaussian_max_affine,
     _minimize_projected,
+    _nnls,
     capacity_vector,
     network_gradient,
     network_value,
@@ -102,14 +104,102 @@ def _frozen_project_simplex(v):
     return np.maximum(v - css[rho - 1] / rho, 0.0)
 
 
+def _least_distance(g, h):
+    """E and f of min ||z|| subject to Gz >= h as an NNLS problem (Lawson &
+    Hanson 1974, ch. 23)."""
+    e = np.vstack([g.T, h])
+    f = np.zeros(e.shape[0])
+    f[-1] = 1.0
+    return e, f
+
+
+class TestNnls:
+    """problems._nnls against scipy.optimize.nnls, the solver it replaced."""
+
+    eps = np.finfo(float).eps
+
+    def test_matches_scipy_on_random_least_distance_problems(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+            g = rng.standard_normal((m, n))
+            # h = G z0 - slack: z0 meets every constraint, so w is unique;
+            # a slack of 0.1 or more keeps the multipliers moderate (scipy's
+            # nnls returns w ~ 3e16 with a residual it reports as 0 on some
+            # nearly empty sets)
+            h = g @ rng.standard_normal(n) - 0.1 - rng.exponential(size=m)
+            e, f = _least_distance(g, h)
+            want_w, want_norm = scipy_nnls(e, f)
+            w, norm = _nnls(e, f)
+            passive = want_w > 0.0
+            # both solvers' errors grow with the passive columns' condition
+            kappa = np.linalg.cond(e[:, passive]) if passive.any() else 1.0
+            assert abs(norm - want_norm) <= 64.0 * self.eps
+            scale = kappa * max(1.0, np.abs(want_w).max())
+            assert np.abs(w - want_w).max() <= 64.0 * self.eps * scale
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_no_columns_give_zero_and_the_norm_of_f(self, rows):
+        f = np.arange(3.0, 3.0 + rows)
+        w, norm = _nnls(np.zeros((rows, 0)), f)
+        assert w.shape == (0,)
+        assert norm == np.linalg.norm(f)
+
+    def test_an_exhausted_budget_raises(self):
+        # each of the three columns enters on its own solve
+        e, f = np.eye(3), np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(_nnls(e, f)[0], f)
+        with pytest.raises(RuntimeError, match="did not converge in 2 iterations"):
+            _nnls(e, f, max_iter=2)
+
+    def test_a_warm_start_reaches_the_cold_solution(self):
+        rng = np.random.default_rng(18)
+        for _ in range(500):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+            g = rng.standard_normal((m, n))
+            h = g @ rng.standard_normal(n) - rng.exponential(size=m)
+            e, f = _least_distance(g, h)
+            cold, norm = _nnls(e, f)
+            # any columns, wrong, dependent or repeated ones included
+            warm, warm_norm = _nnls(e, f, rng.integers(0, m, rng.integers(0, m + 2)).tolist())
+            assert abs(warm_norm - norm) <= 64.0 * self.eps
+            assert np.allclose(e @ warm, e @ cold, rtol=0.0, atol=1e-12)
+
+    def test_nearly_dependent_columns_keep_the_solution(self):
+        # the least-distance system of projecting v ~ 1e6 onto x0 <= 1/4,
+        # x0 + x1 <= 1/2: E has rank 2 up to |C| / |v| ~ 1e-7, so a 3-column
+        # passive set is dependent to rounding (its Gram matrix singular);
+        # cold, or warm started from x1 = 0 and both links, the solution
+        # keeps the links
+        v = np.array([1593866.7274416222, 527565.48])
+        a = np.array([[1.0, 0.0], [1.0, 1.0]])
+        c = np.array([0.25, 0.5])
+        g = np.vstack([np.eye(2), -a])
+        h = np.concatenate([-v, a @ v - c]) / 2.0**22
+        e, f = _least_distance(g, h)
+        want_w, want_norm = scipy_nnls(e, f)
+        for passive in ([], [1, 3, 2]):
+            w, norm = _nnls(e, f, passive)
+            assert np.flatnonzero(w).tolist() == [2, 3]
+            assert np.abs(w - want_w).max() <= 1e-8 * np.abs(want_w).max()
+        x = project_capacity(v, a, c)
+        assert np.abs(x - [0.25, 0.25]).max() <= 64.0 * self.eps * np.abs(v).max()
+
+
 class TestProjectCapacity:
     # user 3 crosses no link, so A v meets a +inf there only through 0 * inf
     _links = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
     _caps = np.array([1.0, 1.0])
+    # a base point that each stage returns, with the point it returns (None:
+    # the stage is NNLS)
     _stages = {
-        "feasible": [0.2, 0.3, 0.1, 5.0],
-        "clipped": [-0.5, 0.3, 0.2, -1.0],
-        "nnls": [2.0, 1.0, -0.1, 0.5],
+        "feasible": ([0.2, 0.3, 0.1, 5.0], [0.2, 0.3, 0.1, 5.0]),
+        "clipped": ([-0.5, 0.3, 0.2, -1.0], [0.0, 0.3, 0.2, 0.0]),
+        "one-link": ([2.0, 1.0, -0.1, 0.5], [1.0, 0.0, 0.0, 0.5]),
+        # both links held; the user they share ends at 0
+        "two-links": ([2.0, 2.0, 2.0, 0.5], [1.0, 0.0, 1.0, 0.5]),
+        # the shared user is above both thresholds, so NNLS
+        "nnls": ([2.0, 3.0, 2.0, 0.5], None),
     }
 
     # numpy warns of the 0 * inf in A v before the projection raises
@@ -118,20 +208,30 @@ class TestProjectCapacity:
     @pytest.mark.parametrize("stage", sorted(_stages))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected_at_every_stage_before_nnls(self, monkeypatch, bad, stage, at):
-        def no_nnls():
+        def no_nnls(e, f, passive=()):
             raise AssertionError("a non-finite vector reached NNLS")
 
-        v = np.array(self._stages[stage])
+        base, point = self._stages[stage]
+        v = np.array(base)
         monkeypatch.setattr(problems_mod, "_nnls", no_nnls)
-        if stage == "nnls":
+        if point is None:
             with pytest.raises(AssertionError):
                 project_capacity(v, self._links, self._caps)
         else:
             out = project_capacity(v, self._links, self._caps)
-            assert np.array_equal(out, np.maximum(v, 0.0))
+            assert np.array_equal(out, point)
         v[at] = bad
         with pytest.raises(ValueError, match="non-finite"):
             project_capacity(v, self._links, self._caps)
+
+    @pytest.mark.parametrize(
+        "v,a", [([np.inf, 0.5], [[-1.0, 1.0]]), ([0.5, np.inf], [[1.0, -1.0]])]
+    )
+    def test_infinity_hidden_by_a_negative_weight_is_rejected(self, v, a):
+        # A v = -inf meets the capacity, so the overload alone would return
+        # the point with its +inf
+        with pytest.raises(ValueError, match="non-finite"):
+            project_capacity(np.array(v), np.array(a), np.array([1.0]))
 
     def test_interior_point_fixed(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -1088,13 +1188,13 @@ class TestInnerSolver:
         # the CLI's seed-0 instance, the bench's; a residual computed at every
         # inner iteration made 106 projections, 6 of them by NNLS
         problem = NetworkProblem.from_seed(5, "c3", seed=np.random.default_rng([0, _TAG_PROBLEM]))
-        projections = _Counted(problems_mod.project_capacity)
-        solves = _Counted(problems_mod._nnls())
-        monkeypatch.setattr(problems_mod, "project_capacity", projections)
-        monkeypatch.setattr(problems_mod, "_nnls", lambda: solves)
+        projections = _Counted(problem.projection())
+        solves = _Counted(problems_mod._nnls)
+        monkeypatch.setattr(problem, "projection", lambda: projections)
+        monkeypatch.setattr(problems_mod, "_nnls", solves)
         ref = saa_reference(problem)
         assert ref.converged and ref.grad_map_norm <= 1e-8
-        assert projections.calls < 106
+        assert 0 < projections.calls < 106
         assert solves.calls < 6
 
 

@@ -437,23 +437,50 @@ def test_capacity_short_circuit_matches_frozen_predicate(instance):
 @st.composite
 def orthant_instances(draw):
     """capacity_instances with v scaled from well inside to far outside the
-    capacities, so each of the projection's three stages is reached."""
+    capacities, so each of the projection's stages is reached."""
     v, a, c = draw(capacity_instances())
     return v * draw(st.sampled_from([0.03, 0.3, 1.0, 3.0])), a, c
 
 
-def frozen_least_distance(v, a, c):
-    """project_capacity's NNLS stage, applied to any v."""
+def least_distance_system(v, a, c):
+    """E and f of project_capacity's NNLS stage for any v, h unscaled."""
     n = v.size
     e = np.vstack([np.hstack([np.eye(n), -a.T]), np.concatenate([-v, a @ v - c])])
     f = np.zeros(n + 1)
     f[n] = 1.0
+    return e, f
+
+
+def frozen_least_distance(v, a, c):
+    """project_capacity's NNLS stage, applied to any v, solved by scipy's
+    nnls."""
+    e, f = least_distance_system(v, a, c)
     w, _ = nnls(e, f)
     r = e @ w - f
+    n = v.size
     return np.maximum(v - r[:n] / r[n], 0.0)
 
 
-def no_nnls():
+def rounding_scale(v, x):
+    """The scale of the least-distance formula's rounding at a projection x of
+    v: eps |v_i| (1 + ||x - v||^2), 1 / r[n] being that factor."""
+    z = x - v
+    return max(1.0, float(np.abs(v).max()) * (1.0 + float(z @ z)))
+
+
+class CountedNnls:
+    """problems._nnls, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.solve = problems._nnls
+
+    def __call__(self, e, f, passive=()):
+        self.calls += 1
+        return self.solve(e, f, passive)
+
+
+def no_nnls(e, f, passive=()):
     raise AssertionError("NNLS called where the orthant clip is the projection")
 
 
@@ -470,22 +497,125 @@ def test_capacity_orthant_stage_is_exact_and_skips_nnls(instance):
         with mock.patch.object(problems, "_nnls", no_nnls):
             x = project_capacity(v, a, c)
         assert same_bits(x, clipped)
-        # the NNLS formula meets the exact clip up to its own rounding, which
-        # grows like eps |v_i| (1 + ||min(v, 0)||^2): 1 / r[n] is that factor
-        neg = np.minimum(v, 0.0)
-        scale = max(1.0, float(np.abs(v).max()) * (1.0 + neg @ neg))
+        # the NNLS formula meets the exact clip up to its own rounding
         gap = np.abs(x - frozen_least_distance(v, a, c)).max()
-        assert gap <= 8.0 * np.finfo(float).eps * scale
+        assert gap <= 8.0 * np.finfo(float).eps * rounding_scale(v, x)
     else:
-        calls = []
-
-        def counting_nnls():
-            def solve(e, f):
-                calls.append(e.shape)
-                return nnls(e, f)
-
-            return solve
-
-        with mock.patch.object(problems, "_nnls", counting_nnls):
+        # past the clip, the held-links stage or a single NNLS call
+        solves = CountedNnls()
+        with mock.patch.object(problems, "_nnls", solves):
             project_capacity(v, a, c)
-        assert len(calls) == 1
+        assert solves.calls <= 1
+
+
+@st.composite
+def weighted_capacity_instances(draw):
+    """orthant_instances whose link weights are drawn from {0, 0.5, 1, 2} on
+    some draws and whose capacities may be 0 or negative: the held-links
+    stage must step aside for both."""
+    v, a, c = draw(orthant_instances())
+    if draw(st.booleans()):
+        weights = draw(hnp.arrays(float, a.shape, elements=st.sampled_from([0.5, 1.0, 2.0])))
+        a = a * weights
+    if draw(st.booleans()):
+        c = c.copy()
+        c[draw(st.integers(0, c.size - 1))] = draw(st.sampled_from([0.0, -0.5]))
+    return v, a, c
+
+
+@SETTINGS
+@given(instance=weighted_capacity_instances())
+# a 0/1 link stage exact on its own; a weighted row and a zero capacity at
+# the most overloaded link; a negative capacity (the empty set)
+@example(
+    instance=(np.array([2.0, 1.0, -0.1]), np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), np.ones(2))
+)
+@example(instance=(np.array([2.0, 1.0]), np.array([[0.5, 2.0]]), np.array([0.3])))
+@example(instance=(np.array([2.0, 1.0]), np.array([[1.0, 1.0]]), np.array([0.0])))
+@example(instance=(np.array([0.3, 0.2]), np.eye(2), np.array([0.1, -0.5])))
+def test_capacity_one_link_stage_is_exact_or_steps_aside(instance):
+    v, a, c = instance
+    over = a @ np.maximum(v, 0.0) - c
+    if over.max() <= 0.0:
+        return
+    if np.any(c < 0.0):
+        # every row is nonnegative and carries a user, so Ax <= C < 0 fails
+        with np.testing.assert_raises_regex(ValueError, "admit no point"):
+            project_capacity(v, a, c)
+        return
+    solves = CountedNnls()
+    with mock.patch.object(problems, "_nnls", solves):
+        x = project_capacity(v, a, c)
+    row = a[int(over.argmax())]
+    capped_simplex = np.all(row * row == row) and c[int(over.argmax())] > 0.0
+    if not capped_simplex:
+        assert solves.calls == 1
+    want = frozen_least_distance(v, a, c)
+    gap = np.abs(x - want).max()
+    assert gap <= 16.0 * np.finfo(float).eps * rounding_scale(v, want)
+
+
+def test_capacity_held_links_stage_is_exact_past_one_link():
+    """Where the nearest point of the most overloaded link alone overloads
+    another link, the stage holds that link too. Every point it returns is
+    the oracle's to rounding, and it settles some of these cases without
+    NNLS: those whose users shared by two held links end at 0."""
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    settled = reached = 0
+    for _ in range(600):
+        n = int(rng.integers(2, 7))
+        links = int(rng.integers(2, 5))
+        a = (rng.uniform(size=(links, n)) < 0.5).astype(float)
+        a[a.sum(axis=1) == 0, rng.integers(n)] = 1.0
+        c = rng.uniform(0.1, 1.0, links)
+        v = rng.uniform(-0.5, 1.5, n)
+        over = a @ np.maximum(v, 0.0) - c
+        if over.max() <= 0.0:
+            continue
+        l = int(over.argmax())
+        one = np.maximum(v, 0.0)
+        on = a[l] == 1.0
+        one[on] = c[l] * project_simplex(v[on] / c[l])
+        if np.all(a @ one - c <= 1e-12):
+            continue
+        solves = CountedNnls()
+        with mock.patch.object(problems, "_nnls", solves):
+            x = project_capacity(v, a, c)
+        want = frozen_least_distance(v, a, c)
+        assert np.abs(x - want).max() <= 16.0 * eps * rounding_scale(v, want)
+        reached += 1
+        settled += solves.calls == 0
+    assert settled >= 10 and reached - settled >= 10
+
+
+@SETTINGS
+@given(instance=orthant_instances())
+# two links through the projection's vertex: w is not unique
+@example(
+    instance=(np.array([0.12573022, -0.13210486]), np.array([[1.0, 0.0], [1.0, 1.0]]), np.full(2, 0.125))
+)
+def test_nnls_matches_scipy_on_least_distance_systems(instance):
+    """The in-house NNLS against scipy's, as the oracle: w, its residual norm
+    and the projected point agree to a few ulp of their scale. Where more
+    constraints are active than the point needs (two links through one
+    vertex), w is not unique and only Ew is compared."""
+    v, a, c = instance
+    if np.all(a @ np.maximum(v, 0.0) - c <= 0.0):
+        return
+    e, f = least_distance_system(v, a, c)
+    want_w, want_norm = nnls(e, f)
+    w, norm = problems._nnls(e, f)
+    eps = np.finfo(float).eps
+    either = (w > 0.0) | (want_w > 0.0)
+    if np.linalg.matrix_rank(e[:, either]) == either.sum():
+        assert np.abs(w - want_w).max() <= 16.0 * eps * max(1.0, float(np.abs(want_w).max()))
+    else:
+        scale = max(1.0, float(np.abs(e @ want_w).max()))
+        assert np.abs(e @ (w - want_w)).max() <= 16.0 * eps * scale
+    assert abs(norm - want_norm) <= 16.0 * eps
+    n = v.size
+    r = e @ w - f
+    x = np.maximum(v - r[:n] / r[n], 0.0)
+    want = frozen_least_distance(v, a, c)
+    assert np.abs(x - want).max() <= 16.0 * eps * rounding_scale(v, want)
