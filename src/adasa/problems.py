@@ -28,6 +28,7 @@ import numpy as np
 from .smoothing import ROW_BLOCK, fill_normals, sample_ball, sample_ball_batch  # noqa: F401
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 # a relative change of F this small is rounding, too small for Armijo to rank
 # two points (near x* the utility F meets its quadratic model to ~3e-16)
 _VALUE_ROUNDING = 1e-14
@@ -119,16 +120,78 @@ def _nnls(
     return w, math.sqrt(r @ r)
 
 
-@functools.cache
-def _ndtr():
-    """scipy.special.ndtr, imported on the first call. Only the utility
-    objective needs scipy.special, which costs ~0.25 s and ~17 MB to load
-    (scipy's array-API layer pulls in numpy.f2py, numpy.testing and numpy.ma),
-    so bimatrix runs load no scipy module; UtilityProblem makes the first call
-    while it is built, so no reference solve pays for the import."""
-    from scipy.special import ndtr
+# W. J. Cody's rational Chebyshev approximations to erf and erfc (Math. Comp.
+# 23, 1969; the coefficients of his CALERF): erf(x) = x A(x^2)/B(x^2) for
+# |x| <= 0.5, erfc(y) = exp(-y^2) C(y)/D(y) on (0.5, 4], and
+# erfc(y) = exp(-y^2) (1/sqrt(pi) - y^-2 P(y^-2)/Q(y^-2)) / y past 4. Each
+# list runs from the leading coefficient; a denominator's leading 1 is left
+# out. C and P are halved, which is exact, so they give erfc(y)/2.
+_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+          3.77485237685302021e2, 3.20937758913846947e3)
+_ERF_B = (2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+          2.84423683343917062e3)
+_ERFC_C = tuple(0.5 * c for c in (
+    2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+    6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+    1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3))
+_ERFC_D = (1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+           1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+           3.43936767414372164e3, 1.23033935480374942e3)
+_ERFC_P = tuple(0.5 * c for c in (
+    1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+    1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4))
+_ERFC_Q = (2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+_HALF_RSQRT_PI = 0.5 * 5.6418958354775628695e-1  # Cody's 1/sqrt(pi)
 
-    return ndtr
+
+def _ratio(y: np.ndarray, num: Sequence[float], den: Sequence[float]) -> np.ndarray:
+    """num(y)/den(y) by Horner, in place on a new array; den's leading 1 is
+    implied."""
+    p = y * num[0]
+    q = y + den[0]
+    for a, b in zip(num[1:-1], den[1:]):
+        p += a
+        p *= y
+        q *= y
+        q += b
+    p += num[-1]
+    p /= q
+    return p
+
+
+def _normal_cdf(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Phi(z), the standard normal CDF, given e = exp(-z^2/2), by Cody's
+    erf/erfc approximations in y = |z|/sqrt(2); the caller has e for the pdf.
+
+    The (0.5, 4] rational runs on every entry, in place, since most of the
+    utility reference's entries lie there; the other two ranges are patched
+    at their indices, which gather and scatter faster than a boolean mask.
+    Against mpmath at 40 digits, on a grid over [-38.4, 9] and at 100k random
+    points, its relative error is at most 1.6e-15 for |z| <= 5 and 5.7e-14
+    (508 ulp) while Phi is a normal float (z >= -37.5); scipy's ndtr reads
+    4.4e-15 and 2.4e-13 (2015 ulp). Most of it is e's: exp carries the
+    rounding of z^2/2, ~z^2/2 ulp. Below, Phi is subnormal, within that
+    relative error plus one unit of 2^-1074, and underflows to 0 past
+    z ~ -38.5.
+    Phi(+-0) = 0.5, Phi(-inf) = 0, Phi(inf) = 1 and Phi(nan) = nan, with no
+    floating-point warning."""
+    y = np.abs(z)
+    y *= _SQRT_HALF
+    with np.errstate(invalid="ignore", over="ignore"):  # |z| = inf: patched
+        cdf = _ratio(y, _ERFC_C, _ERFC_D)
+        tail = np.nonzero(y > 4.0)
+        if tail[0].size:
+            yt = y[tail]
+            u = 1.0 / (yt * yt)
+            cdf[tail] = (_HALF_RSQRT_PI - u * _ratio(u, _ERFC_P, _ERFC_Q)) / yt
+    cdf *= e  # Phi(-|z|) = erfc(y)/2
+    np.subtract(1.0, cdf, out=cdf, where=z > 0.0)
+    small = np.nonzero(y <= 0.5)
+    if small[0].size:
+        x = z[small] * _SQRT_HALF
+        cdf[small] = 0.5 + 0.5 * x * _ratio(x * x, _ERF_A, _ERF_B)
+    return cdf
 
 
 @functools.cache
@@ -555,8 +618,10 @@ def _gaussian_max_affine(
     Closed form piece by piece over the envelope knots; the boundary terms
     cancel because the envelope is continuous at every knot. One piece at a
     time on length-m vectors: value and sigma term sum from zero left to right,
-    numpy's row-sum order below 8 pieces; d_mu, d_sigma are one gemv each. At
-    zero sigma (floored at 1e-300) z**2 overflows to inf: exp(-inf) = 0 holds.
+    numpy's row-sum order below 8 pieces; d_mu, d_sigma are one gemv each.
+    Each knot's exp(-z^2/2) is computed once and serves both the pdf and
+    _normal_cdf's erfc. At zero sigma (floored at 1e-300) z is +-inf off the
+    knot and z**2 overflows to inf: exp(-inf) = 0 holds, and the CDF is 0 or 1.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.maximum(np.atleast_1d(np.asarray(sigma, dtype=float)), 1e-300)
@@ -565,7 +630,6 @@ def _gaussian_max_affine(
     if r == 1:
         value = v_h[0] + s_h[0] * mu
         return value, np.full(m, s_h[0]), np.zeros(m)
-    ndtr = _ndtr()
     d_cdf, d_pdf = np.empty((m, r)), np.empty((m, r))
     value, sigma_term = np.zeros(m), np.zeros(m)
     cdf_prev = pdf_prev = 0.0
@@ -573,7 +637,8 @@ def _gaussian_max_affine(
         if k < r - 1:
             with np.errstate(over="ignore"):
                 z = (knots[k] - mu) / sigma
-                cdf, pdf = ndtr(z), np.exp(-0.5 * z**2) / _SQRT_2PI
+                e = np.exp(-0.5 * z**2)
+            cdf, pdf = _normal_cdf(z, e), e / _SQRT_2PI
         else:
             cdf, pdf = 1.0, 0.0
         d_cdf[:, k] = step_cdf = cdf - cdf_prev
@@ -607,7 +672,6 @@ class UtilityProblem:
             raise ValueError("intercepts and slopes must align")
         self.coeff_base = np.arange(1, self.n + 1) / self.n
         self._envelope = _upper_envelope(self.intercepts, self.slopes)
-        _ndtr()  # scipy.special loads with the problem, not in a reference solve
 
     @classmethod
     def from_seed(

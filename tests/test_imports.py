@@ -126,7 +126,6 @@ print("quantiles", harness._t_quantile.cache_info().misses)
 setup = harness.build_setup(harness.resolve_config("utility", "rsa"))
 loaded("utility")
 problems.saa_reference(setup.problem, sample_size=2_000)
-print("ndtr imports", problems._ndtr.cache_info().misses)
 harness.build_setup(harness.resolve_config("network", "rsa"))
 loaded("network")
 print("stats", "scipy.stats" in sys.modules)
@@ -148,27 +147,24 @@ def _run_script(script, *args):
 
 
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
-    """Each run loads only the scipy modules its problem uses: the CLI import
-    and a whole bimatrix run load none (the run's three interval requests
-    compute one t quantile); the utility problem loads scipy.special while it
-    is built, so its reference solve imports nothing; the network problem
-    adds none. No path loads scipy.stats or scipy.optimize."""
+    """No run loads a scipy module: not the CLI import, not a whole bimatrix
+    run (its three interval requests compute one t quantile), not the utility
+    problem and its reference solve, nor the network problem."""
     assert _run_script(_SCIPY_LOADS, str(tmp_path / "run.csv")) == [
         "import False False False",
         "bimatrix False False False",
         "quantiles 1",
-        "utility True True False",
-        "ndtr imports 1",
-        "network True True False",
+        "utility False False False",
+        "network False False False",
         "stats False",
     ]
 
 
-_NETWORK_RUN = """
+_RUN = """
 import sys
 from adasa import harness
 
-config = harness.resolve_config("network", "rsa", iters=50, replications=1, out=sys.argv[1])
+config = harness.resolve_config(sys.argv[1], "rsa", iters=50, replications=1, out=sys.argv[2])
 setup = harness.build_setup(config)
 result = harness.run_replications(config, setup=setup)
 harness.emit_csv(result.trajectories, result.bound, config.out)
@@ -180,7 +176,44 @@ print(result.reference.converged, sorted(m for m in sys.modules if m.split(".")[
 def test_network_run_loads_no_scipy_module(tmp_path):
     """A network run, setup, reference solve, a replication and its output,
     projects onto the link capacities without any scipy module."""
-    assert _run_script(_NETWORK_RUN, str(tmp_path / "run.csv")) == ["True []"]
+    assert _run_script(_RUN, "network", str(tmp_path / "run.csv")) == ["True []"]
+
+
+def test_utility_run_loads_no_scipy_module(tmp_path):
+    """A utility run, setup, reference solve, a replication and its output,
+    takes its normal CDF from numpy alone."""
+    assert _run_script(_RUN, "utility", str(tmp_path / "run.csv")) == ["True []"]
+
+
+_NO_SCIPY_CLI = """
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is for the tests only")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from adasa.cli import main
+
+problem, out = sys.argv[1:]
+print(main(["--problem", problem, "--scheme", "rsa", "--iters", "50",
+            "--replications", "3", "--out", out]))
+"""
+
+
+@pytest.mark.parametrize("problem", ["utility", "network", "bimatrix"])
+def test_cli_runs_where_scipy_cannot_be_imported(tmp_path, problem):
+    """scipy is a test dependency only: with every scipy import refused, the
+    CLI still runs each problem and writes its CSV and metadata."""
+    out = tmp_path / f"{problem}.csv"
+    assert _run_script(_NO_SCIPY_CLI, problem, str(out))[-1] == "0"
+    assert out.stat().st_size > 0
+    assert Path(f"{out}.meta.json").stat().st_size > 0
 
 
 def _exact_t_cdf_brackets(df, p, q):

@@ -683,6 +683,72 @@ class TestGaussianMaxAffine:
         assert np.array_equal(dsig, np.zeros(5))
 
 
+def _normal_cdf_of(z):
+    """problems._normal_cdf given the exponential as _gaussian_max_affine
+    forms it."""
+    with np.errstate(over="ignore"):
+        e = np.exp(-0.5 * z**2)
+    return problems_mod._normal_cdf(z, e)
+
+
+class TestNormalCdf:
+    # a grid over [-38, 9], a log-spaced lower tail down to -38.4, where Phi is
+    # subnormal from z ~ -37.5 on, and the floats at and next to the range
+    # edges |z| = 0.5 sqrt(2) and 4 sqrt(2)
+    edges = np.array([0.5, 4.0]) * math.sqrt(2.0)
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 9.0)])
+    grid = np.concatenate(
+        [np.linspace(-38.0, 9.0, 9401), -np.geomspace(1.0, 38.4, 400), edges, -edges]
+    )
+
+    def test_matches_mpmath_to_the_stated_error(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = self.grid
+        with mpmath.workdps(40):
+            exact = [mpmath.ncdf(mpmath.mpf(v)) for v in z.tolist()]
+            err = np.array(
+                [float(abs(mpmath.mpf(g) - x)) for g, x in zip(_normal_cdf_of(z).tolist(), exact)]
+            )
+        ref = np.array([float(x) for x in exact])
+        normal = ref >= np.finfo(float).tiny
+        assert normal.sum() > 9_000 and 0 < (~normal).sum() < 200
+        rel = err / ref
+        assert rel[np.abs(z) <= 5.0].max() <= 1.5e-15
+        assert rel[normal].max() <= 5.7e-14
+        assert (err[normal] / np.spacing(ref[normal])).max() <= 498
+        # subnormal Phi: the same relative error, plus the last place's rounding
+        assert np.all(err[~normal] <= 5.7e-14 * ref[~normal] + 2.0**-1074)
+
+    def test_agrees_with_scipy_ndtr(self):
+        from scipy.special import ndtr  # a cross-check only; no adasa path loads it
+
+        z = np.concatenate([self.grid, np.random.default_rng(3).normal(0.0, 3.0, 5_000)])
+        want = ndtr(z)
+        got = _normal_cdf_of(z)
+        near = np.abs(z) <= 5.0
+        assert np.all(np.abs(got - want)[near] <= 5.6e-15 * want[near])
+        normal = want >= np.finfo(float).tiny
+        assert np.all(np.abs(got - want)[normal] <= 3e-13 * want[normal])
+
+    def test_special_values_without_warnings(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-320, -1e-320,
+                      -38.5, -40.0, 40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _normal_cdf_of(z)
+        assert got[:2].tolist() == [0.5, 0.5]
+        assert got[2:4].tolist() == [1.0, 0.0]
+        assert math.isnan(got[4])
+        assert got[5:11].tolist() == [1.0, 0.0, 0.5, 0.5, 0.0, 0.0]
+        assert got[11] == 1.0
+
+    def test_is_elementwise_whatever_the_shape(self):
+        z = np.random.default_rng(4).normal(0.0, 4.0, (300, 4))
+        whole = _normal_cdf_of(z)
+        for j in range(4):
+            assert np.array_equal(whole[:, j], _normal_cdf_of(np.ascontiguousarray(z[:, j])))
+
+
 class TestBimatrixProblem:
     def test_matrix_structure(self):
         problem = BimatrixProblem(n=6, eta=0.01, epsilon=0.2)

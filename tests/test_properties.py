@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import nnls
-from scipy.special import ndtr
 
 from adasa.bounds import csa_bound_trajectory
 from adasa import problems
@@ -253,6 +252,9 @@ def frozen_capacity_feasible(v, a, c):
 
 
 def frozen_gaussian_max_affine(mu, sigma, v_h, s_h, knots):
+    """The whole-matrix formula. Its CDF is problems._normal_cdf on the same
+    exponential as the pdf, so this pins the assembly; TestNormalCdf in
+    test_problems.py pins the CDF's accuracy against mpmath."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.maximum(np.atleast_1d(np.asarray(sigma, dtype=float)), 1e-300)
     m = mu.size
@@ -261,12 +263,13 @@ def frozen_gaussian_max_affine(mu, sigma, v_h, s_h, knots):
         value = v_h[0] + s_h[0] * mu
         return value, np.full(m, s_h[0]), np.zeros(m)
     z = (knots[None, :] - mu[:, None]) / sigma[:, None]
+    e = np.exp(-0.5 * z**2)
     cdf = np.empty((m, r + 1))
     cdf[:, 0] = 0.0
-    cdf[:, 1:r] = ndtr(z)
+    cdf[:, 1:r] = problems._normal_cdf(z, e)
     cdf[:, r] = 1.0
     pdf = np.zeros((m, r + 1))
-    pdf[:, 1:r] = np.exp(-0.5 * z**2) / problems._SQRT_2PI
+    pdf[:, 1:r] = e / problems._SQRT_2PI
     d_cdf = np.diff(cdf, axis=1)
     d_pdf = pdf[:, :-1] - pdf[:, 1:]
     value = ((v_h[None, :] + s_h[None, :] * mu[:, None]) * d_cdf).sum(axis=1)
