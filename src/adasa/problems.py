@@ -386,9 +386,11 @@ def project_capacity(
 @dataclass
 class SaaMinimization:
     """Deterministic sample-average minimization, solved by projected Newton:
-    value/gradient, Hessian, projection and start. `lift`, when set, maps the
-    minimizer to the reference point the SA engine runs against (the bimatrix
-    game's x* to its stacked saddle point).
+    value/gradient, model Hessian, projection and start. The model Hessian
+    need only be positive definite: the utility SAA's is a sample block's,
+    the others' the objective's own. `lift`, when set, maps the minimizer to
+    the reference point the SA engine runs against (the bimatrix game's x* to
+    its stacked saddle point).
     """
 
     value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -482,7 +484,9 @@ def _minimize_newton(saa: SaaMinimization, grad_map_tol: float, max_iter: int) -
     """Projected Newton with Armijo backtracking (Lee, Sun and Saunders 2014).
 
     Each outer step minimizes the quadratic model g.d + d.H d/2 over the
-    feasible set with _minimize_projected, given the model gradient
+    feasible set, H = saa.hessian(x) any positive definite model (the exact
+    Hessian or a subsample's: F and its gradient decide the step and the
+    certificate), with _minimize_projected, given the model gradient
     g + H(p - x) and the step 1/lambda_max(H), to a tolerance that tightens
     with the residual, projecting once per inner iteration and once per
     certification. It then halves the step from 1 until F decreases by
@@ -784,14 +788,15 @@ class UtilityProblem:
         for a max-affine function under a normal), the ball perturbation is a
         fixed sample average of `sample_size` draws. The Gaussian at x + z_i has
         mean (x + z_i) @ a and deviation ||x + z_i||, formed from Z @ x alone.
-        The closed-form Hessian lets the reference be solved by projected
-        Newton. Every reduction over the sample axis (Z^T c in the gradient,
-        the Hessian's sums) goes through einsum rather than BLAS: a BLAS
-        reduction changes its bits with the thread count, and with them x*.
+        Every reduction over the sample axis (Z^T c in the gradient, the
+        Hessian's sums) goes through einsum rather than BLAS: a BLAS reduction
+        changes its bits with the thread count, and with them x*.
 
-        value_grad keeps the per-sample mean and deviation of its last point;
-        hessian reuses them at that point (Newton asks for H where it has just
-        evaluated F) and recomputes them, to the same bits, anywhere else."""
+        hessian is the closed-form Hessian of the same average over the first
+        ROW_BLOCK samples alone (all of them when there are no more), a
+        subsampled model (Byrd, Chin, Neveitt and Nocedal 2011): Newton's step
+        only needs a positive definite model, which eta I guarantees, while F,
+        its gradient, the line search and the certificate read every sample."""
         z_samples = sample_ball_batch(sample_size, self.n, self.epsilon, rng)
         z_mean = z_samples.mean(axis=0)
         v_h, s_h, knots = self._envelope
@@ -799,17 +804,15 @@ class UtilityProblem:
         eta = self.eta
         z_a = z_samples @ a
         z_sq = np.einsum("ij,ij->i", z_samples, z_samples)
-        last: dict = {}  # x, mu and sigma of the last value_grad call
 
-        def moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            mu = z_a + a @ x
-            sig = np.sqrt(np.maximum(z_sq + 2.0 * (z_samples @ x) + x @ x, 0.0))
+        def moments(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+            """The mean and deviation of the first m samples' Gaussians at x."""
+            mu = z_a[:m] + a @ x
+            sig = np.sqrt(np.maximum(z_sq[:m] + 2.0 * (z_samples[:m] @ x) + x @ x, 0.0))
             return mu, sig
 
         def value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-            last.clear()  # free the old point's terms before making new ones
-            mu, sig = moments(x)
-            last.update(x=x.copy(), mu=mu, sig=sig)
+            mu, sig = moments(x, sample_size)
             # per sample, a block at a time, so the per-piece columns stay
             # block-sized; each row's terms, gemv dots included, keep their bits
             psi, d_mu, d_sig = (np.empty(sample_size) for _ in range(3))
@@ -830,55 +833,44 @@ class UtilityProblem:
 
         jumps = np.diff(s_h)
         n = self.n
+        m = min(ROW_BLOCK, sample_size)
 
         def hessian(x: np.ndarray) -> np.ndarray:
             # u_i = x + z_i; w_j = jump_j phi(zeta_j), zeta_j = (t_j - mu)/sigma.
             # psi_mumu = c = psi_sigma/sigma = sum w/sigma, e = psi_musigma/sigma
             # = sum w zeta/sigma^2, d = (psi_sigmasigma - c)/sigma^2
             # = sum w (zeta^2 - 1)/sigma^3, b = mean e u, and
-            # H = mean c (aa^T + I) + ab^T + ba^T + mean d uu^T + eta I.
-            # sum_i d_i z_i z_i^T is summed as its upper triangle, row j of a
-            # block as one einsum over the block's transposed copy zt, and
-            # mirrored at the end.
-            if last and np.array_equal(last["x"], x):
-                mu_all, sig_all = last["mu"], last["sig"]
-            else:
-                mu_all, sig_all = moments(x)
-            sum_c = sum_e = sum_d = 0.0
-            ez, dz, dzz = np.zeros(n), np.zeros(n), np.zeros((n, n))
-            for lo in range(0, sample_size, ROW_BLOCK):
-                zt = np.ascontiguousarray(z_samples[lo : lo + ROW_BLOCK].T)
-                hi = lo + zt.shape[1]
-                mu = mu_all[lo:hi]
-                sig = np.maximum(sig_all[lo:hi], 1e-12)
-                w0, w1, w2 = np.zeros(hi - lo), np.zeros(hi - lo), np.zeros(hi - lo)
-                for t_j, jump in zip(knots, jumps):
-                    zeta = (t_j - mu) / sig
-                    w = jump * np.exp(-0.5 * zeta**2) / _SQRT_2PI
-                    w0 += w
-                    w *= zeta
-                    w1 += w
-                    w *= zeta
-                    w2 += w
-                c = w0 / sig
-                e = w1 / sig**2
-                d = (w2 - w0) / sig**3
-                sum_c += c.sum()
-                sum_e += e.sum()
-                sum_d += d.sum()
-                ez += np.einsum("ki,i->k", zt, e)
-                dz += np.einsum("ki,i->k", zt, d)
-                for j in range(n):
-                    dzz[j, j:] += np.einsum("ki,i->k", zt[j:], zt[j] * d)
+            # H = mean c (aa^T + I) + ab^T + ba^T + mean d uu^T + eta I, with
+            # means over the first m samples. sum_i d_i z_i z_i^T is summed as
+            # its upper triangle, row j as one einsum over the block's
+            # transposed copy zt, and mirrored.
+            zt = np.ascontiguousarray(z_samples[:m].T)
+            mu, sig = moments(x, m)
+            sig = np.maximum(sig, 1e-12)
+            w0, w1, w2 = np.zeros(m), np.zeros(m), np.zeros(m)
+            for t_j, jump in zip(knots, jumps):
+                zeta = (t_j - mu) / sig
+                w = jump * np.exp(-0.5 * zeta**2) / _SQRT_2PI
+                w0 += w
+                w *= zeta
+                w1 += w
+                w *= zeta
+                w2 += w
+            c = w0 / sig
+            e = w1 / sig**2
+            d = (w2 - w0) / sig**3
+            dzz = np.zeros((n, n))
+            for j in range(n):
+                dzz[j, j:] = np.einsum("ki,i->k", zt[j:], zt[j] * d)
             dzz += np.triu(dzz, 1).T
-            mean_c = sum_c / sample_size
-            b = (sum_e * x + ez) / sample_size
-            xdz = np.outer(x, dz)
+            mean_c = c.sum() / m
+            b = (e.sum() * x + np.einsum("ki,i->k", zt, e)) / m
+            xdz = np.outer(x, np.einsum("ki,i->k", zt, d))
             h = (
                 mean_c * np.outer(a, a)
                 + np.outer(a, b)
                 + np.outer(b, a)
-                + (sum_d * np.outer(x, x) + xdz + xdz.T + dzz) / sample_size
+                + (d.sum() * np.outer(x, x) + xdz + xdz.T + dzz) / m
             )
             h[np.diag_indices(n)] += mean_c + eta
             # the sums ab^T + ba^T and xdz + xdz^T round in a different order

@@ -22,10 +22,10 @@ Oracle = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 LOG_DOUBLE_FACTORIAL_CUTOFF = 150  # beyond this n!! overflows float64
 # rows per block of a pass over an m x n sample, so its temporaries stay near
-# 1 MB however large m is; the utility Hessian adds its sums block by block,
-# and the SA engine draws a trajectory's noise this many steps at a time, so
-# this value is also part of the utility reference's bits and of every
-# trajectory longer than one block
+# 1 MB however large m is; the utility reference's model Hessian reads the
+# first block of its sample alone, and the SA engine draws a trajectory's
+# noise this many steps at a time, so this value is also part of the utility
+# reference's bits and of every trajectory longer than one block
 ROW_BLOCK = 8192
 
 

@@ -37,19 +37,19 @@ SIZE = {"replications": 3, "iters": 300, "seed": 0}
 # (problem, scheme): (CSV SHA-256, meta.json SHA-256, repr(terminal_mean))
 GOLDEN = {
     ("utility", "hsa"): (
-        "b166d149dd0ac8ae447edf5c8f9aa145e0f5750a92ee4efd76b6d6ece52d9ab2",
-        "173deb519d4d851d7a77136af5372b75482c187b24684795ab13055203418a73",
-        "0.007202623628617043",
+        "e9c718bf32334d1a49fa68a5c55b005a3d9a208cabb0af68157d10f62b3aff99",
+        "24b1f49cdca701e22c0bf1d538948dcecf8b5cc5a718a4f2c3f5da67ab21fd11",
+        "0.0072026232165478404",
     ),
     ("utility", "rsa"): (
-        "a0491ab76facd408261a66effcb9e6b7557b8aa3b0bfd4ec9fbe6fb9384beed2",
-        "47d2bc71710d3c77e05907e79905bb487a33878229e620619bd8dfd6f6b10dca",
-        "0.011641331263701515",
+        "ddadbc183d4ce5695ef538933f9d81ba5185b6a797a32585cfa2a38cba5c951f",
+        "625c06431b9a10db53a92ab4c645d5fa69cd7006d4966a4b1764049cf9dd5617",
+        "0.011641330552117642",
     ),
     ("utility", "csa"): (
-        "949be9e83d5f2292599ff050b0ed6e5fedfd49634f9ba33e6de26628a2612d7e",
-        "4bbde8a560eecce605a622177bb642348e7037767bf031389c22b1a145459597",
-        "0.01333124153270559",
+        "095bbaf5afdfa8bea00ccdf12a51f00c29271a8d02510b4ff350a952f375a6c4",
+        "377edfafca20e6087715c0af4be62382ddf845e9601698bc7f09dd468ac01599",
+        "0.013331240755528178",
     ),
     ("bimatrix", "hsa"): (
         "c1d0a90f223e93cc4e57f60e5d55b82e8b0251f58d073b97658a919636243168",

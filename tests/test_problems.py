@@ -2,6 +2,7 @@ import logging
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.optimize import nnls as scipy_nnls  # the oracle; no adasa path loads
 
 from adasa import problems as problems_mod
 from adasa import smoothing
-from adasa.harness import _TAG_PROBLEM
+from adasa.harness import _TAG_PROBLEM, _TAG_REFERENCE, build_setup, resolve_config
 from adasa.problems import (
     BimatrixProblem,
     NetworkProblem,
@@ -552,25 +553,38 @@ class TestUtilitySaa:
     @pytest.mark.parametrize(
         "x", [[0.3, 0.1, 0.25, 0.15, 0.2], [0.6, 0.4, 0.0, 0.0, 0.0]], ids=["interior", "face"]
     )
-    def test_hessian_over_several_blocks_matches_the_full_formula(self, x):
-        # 2 * ROW_BLOCK + 3 samples: two full blocks and a ragged one
+    def test_hessian_is_the_first_blocks_formula(self, x, monkeypatch):
+        # 2 * ROW_BLOCK + 3 samples: two full blocks and a ragged one, of which
+        # the Hessian reads the first alone
         from adasa.smoothing import sample_ball_batch
 
-        m = 2 * smoothing.ROW_BLOCK + 3
+        block, m = smoothing.ROW_BLOCK, 2 * smoothing.ROW_BLOCK + 3
         problem = UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=14)
         x, other = np.array(x), np.full(5, 0.2)
         z = sample_ball_batch(m, 5, problem.epsilon, np.random.default_rng(22))
-        want = _full_formula_hessian(problem, z, x)
+        want = _full_formula_hessian(problem, z[:block], x)
 
         saa = problem.build_saa(m, np.random.default_rng(22))
         cold = saa.hessian(x)  # no value_grad call yet
         saa.value_grad(x)
-        reused = saa.hessian(x)
+        after = saa.hessian(x)
         saa.value_grad(other)
         elsewhere = saa.hessian(x)
-        assert np.array_equal(cold, reused) and np.array_equal(cold, elsewhere)
+        assert np.array_equal(cold, after) and np.array_equal(cold, elsewhere)
         assert np.array_equal(cold, cold.T)
         assert np.max(np.abs(cold - want)) <= 1e-13 * np.max(np.abs(want))
+
+        # no sample past the first block reaches the Hessian; F reads them all
+        def poisoned(*args, **kwargs):
+            draws = sample_ball_batch(*args, **kwargs)
+            draws[block:] = np.nan
+            return draws
+
+        monkeypatch.setattr(problems_mod, "sample_ball_batch", poisoned)
+        saa = problem.build_saa(m, np.random.default_rng(22))
+        assert np.array_equal(saa.hessian(x), cold)
+        value, grad = saa.value_grad(x)
+        assert math.isnan(value) and np.isnan(grad).all()
 
     def test_value_grad_matches_the_whole_sample_formula_bitwise(self):
         # one block, a ragged second block, several blocks; two envelopes
@@ -592,8 +606,8 @@ class TestUtilitySaa:
 
 
 def _full_formula_hessian(problem, z, x):
-    """The utility SAA Hessian from one einsum over all m samples at once, the
-    form the blocked upper-triangle sum in build_saa must reproduce."""
+    """The utility SAA Hessian from one einsum over all m rows of z at once, the
+    form build_saa's upper-triangle sum over its first block must reproduce."""
     _, s_h, knots = problem._envelope
     a, m = problem.coeff_base, z.shape[0]
     mu = z @ a + a @ x
@@ -1171,6 +1185,40 @@ class TestSaaReference:
         target[0] = 1.0
         target[-1] = 1.0
         assert np.linalg.norm(ref.point - target) <= 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("eta", [0.05, 2.0])
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_utility_first_block_hessian_finds_the_full_hessians_minimizer(
+        self, n, eta, seed
+    ):
+        # Newton's model Hessian reads the first of 3 blocks; the full-sample
+        # Hessian must lead to the same certified point in as many steps, +-1
+        m = 3 * smoothing.ROW_BLOCK
+        problem = UtilityProblem.from_seed(n, eta=eta, epsilon=0.5, seed=seed)
+        ref = saa_reference(problem, sample_size=m, seed=seed)
+        assert ref.converged and ref.grad_map_norm <= 1e-8
+
+        z = smoothing.sample_ball_batch(m, n, problem.epsilon, np.random.default_rng(seed))
+        saa = problem.build_saa(m, np.random.default_rng(seed))
+        full = replace(saa, hessian=lambda x: _full_formula_hessian(problem, z, x))
+        want = problems_mod._minimize_newton(full, 1e-8, 500_000)
+        assert want.converged
+        assert np.max(np.abs(ref.point - want.point)) <= 1e-6
+        assert abs(ref.iterations - want.iterations) <= 1
+
+    def test_default_utility_reference_newton_steps(self):
+        # the CLI's utility reference at seed 0 (n = 20, 100k samples); a
+        # count repeats exactly where a timing does not
+        config = resolve_config("utility", "csa")
+        setup = build_setup(config)
+        ref = saa_reference(
+            setup.problem,
+            sample_size=config.saa_samples,
+            seed=np.random.default_rng([config.seed, _TAG_REFERENCE]),
+        )
+        assert ref.converged and ref.grad_map_norm <= 1e-8
+        assert ref.iterations == 4
 
     def test_repeatability(self):
         problem = UtilityProblem.from_seed(5, eta=0.5, epsilon=0.5, seed=14)
